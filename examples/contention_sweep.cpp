@@ -231,8 +231,11 @@ int main(int argc, char** argv) {
 
   if (chaos.enabled()) {
     // Log the resolved plan so a seeded drill is replayable from the log
-    // alone (pass this spec back via --chaos-plan).
+    // alone (pass this spec back via --chaos-plan). Flushed at once: a
+    // worker's stdout is usually a file, and the line must be there while
+    // the worker still runs, or if it is killed.
     std::printf("chaos plan: %s\n", chaos.plan.toSpec().c_str());
+    std::fflush(stdout);
   }
 
   if (!connectHost.empty()) {

@@ -1,5 +1,6 @@
-// Fuzzes the distributed fleet's wire layer end to end: the stream
-// reassembler that turns arbitrary TCP chunks back into frames, and
+// Fuzzes the exec wire layer end to end — the path both a fleet worker's
+// TCP stream and an isolated child's result pipe take: the stream
+// reassembler that turns arbitrary chunks back into frames, and
 // decodeMessage on both the extracted payloads and the raw input. The
 // reassembler must extract frames or report a typed IpcError — never
 // throw, never mis-extract — and any payload decodeMessage accepts must
@@ -12,7 +13,6 @@
 
 #include "exec/distributed/protocol.hpp"
 #include "exec/frame_transport.hpp"
-#include "exec/ipc.hpp"
 
 namespace {
 

@@ -190,8 +190,10 @@ dist::TaskResult runSweepJob(const dist::JobSpec& job,
   context.isolation = isolation;
   context.maxAttempts = std::max(1, job.maxAttempts);
   context.poolSize = 1;
-  NullLifecycle lifecycle;
-  TaskOutcome outcome = runCoreCountTask(context, job.cores, lifecycle);
+  // No deadline and no stop relay: the coordinator's lease expiry is the
+  // hang recovery across a fleet, so the watchdog starts no thread.
+  Watchdog watchdog(0.0, {}, 1);
+  TaskOutcome outcome = runCoreCountTask(context, job.cores, watchdog, 0);
 
   dist::TaskResult result;
   result.taskId = job.taskId;

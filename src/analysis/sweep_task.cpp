@@ -1,5 +1,7 @@
 #include "analysis/sweep_task.hpp"
 
+#include <algorithm>
+#include <exception>
 #include <utility>
 
 #include "exec/process_runner.hpp"
@@ -8,21 +10,193 @@ namespace occm::analysis {
 
 namespace {
 
-/// Disarms the lifecycle's deadline on every exit path of one attempt.
+namespace dist = exec::dist;
+
+/// Disarms the slot's deadline on every exit path of one attempt.
 class ArmedDeadline {
  public:
-  explicit ArmedDeadline(RunLifecycle& lifecycle) : lifecycle_(lifecycle) {
-    lifecycle_.arm();
+  ArmedDeadline(Watchdog& watchdog, std::size_t slot)
+      : watchdog_(watchdog), slot_(slot) {
+    watchdog_.arm(slot_);
   }
-  ~ArmedDeadline() { lifecycle_.disarm(); }
+  ~ArmedDeadline() { watchdog_.disarm(slot_); }
   ArmedDeadline(const ArmedDeadline&) = delete;
   ArmedDeadline& operator=(const ArmedDeadline&) = delete;
 
  private:
-  RunLifecycle& lifecycle_;
+  Watchdog& watchdog_;
+  std::size_t slot_;
 };
 
+/// Runs one attempt, in-process or in a forked child, and reports it the
+/// way a fleet worker would: the profile, or the failure it ended in.
+dist::TaskResult runAttempt(const RunTaskContext& context, int cores,
+                            int attempt, Watchdog& watchdog,
+                            std::size_t slot) {
+  try {
+    // The deadline covers the whole attempt, beforeRun included — a
+    // hook that hangs is exactly the overrun the watchdog exists for.
+    const ArmedDeadline deadline(watchdog, slot);
+    if (context.beforeRun) {
+      context.beforeRun(cores, attempt);
+    }
+    sim::SimConfig simConfig = *context.sim;
+    // Retry under a perturbed seed: if the failure was input-shaped
+    // (a pathological arrival pattern), a different deterministic
+    // stream can clear it; attempt 0 keeps the configured seed.
+    constexpr std::uint64_t kSeedStep = 0x9E3779B97F4A7C15ULL;
+    simConfig.seed =
+        context.sim->seed + static_cast<std::uint64_t>(attempt) * kSeedStep;
+    simConfig.cycleBudget = context.cycleBudget;
+    // A fresh instance per attempt (not a shared reset one): building
+    // from the same spec seed yields bit-identical streams, and private
+    // streams are what lets tasks run concurrently at all.
+    auto simulate = [&context, &simConfig, cores] {
+      workloads::WorkloadInstance instance =
+          workloads::makeWorkload(*context.workload);
+      sim::MachineSim simulator(*context.machine, simConfig);
+      return simulator.run(instance.threads, cores, instance.name);
+    };
+    if (context.isolation.enabled) {
+      // Isolated attempt: the child rebuilds the workload and simulator
+      // from the same seeds (bit-identical inputs, bit-identical
+      // profile); the parent-side token cannot cross the fork, so the
+      // supervisor polls it and SIGKILLs the child instead of the
+      // simulator unwinding cooperatively. The deterministic cycle
+      // budget still aborts inside the child.
+      exec::ProcessRunnerConfig runnerConfig;
+      runnerConfig.limits.memoryBytes = context.isolation.memoryBytes;
+      runnerConfig.limits.cpuSeconds = context.isolation.cpuSeconds;
+      runnerConfig.stderrTailBytes = context.isolation.stderrTailBytes;
+      if (watchdog.active()) {
+        runnerConfig.cancel = watchdog.tokenFor(slot);
+      }
+      return exec::runInChild(simulate, runnerConfig);
+    }
+    if (watchdog.active()) {
+      simConfig.cancel = watchdog.tokenFor(slot);
+    }
+    dist::TaskResult result;
+    result.profile = simulate();
+    result.hasProfile = true;
+    return result;
+  } catch (...) {
+    dist::TaskResult result;
+    result.hasFailure = true;
+    result.failure = exec::failureFromException(std::current_exception());
+    return result;
+  }
+}
+
+/// Applies one failed attempt to the task's failure record — the only
+/// place a failure becomes a RunFailureKind. Crashes and exceptions are
+/// retried under the next seed; timeouts and cancellations end the task
+/// (a timed-out run would time out again, and a cancelled sweep wants to
+/// wind down). A cycle budget and a fired wall deadline are both "overran
+/// its limits"; everything else a cancellation carried is the sweep-wide
+/// stop. Crash evidence (signal, rlimit, stderr tail) survives only on a
+/// crash record. Returns true when the task ends.
+bool settleFailure(RunFailure& record, dist::TaskFailure failure,
+                   bool timedOut) {
+  record.error = std::move(failure.error);
+  if (failure.kind == dist::WireFailureKind::kCrash) {
+    record.signal = failure.signal;
+    record.rlimit = std::move(failure.rlimit);
+    record.stderrTail = std::move(failure.stderrTail);
+  } else {
+    record.signal = 0;
+    record.rlimit.clear();
+    record.stderrTail.clear();
+  }
+  switch (failure.kind) {
+    case dist::WireFailureKind::kCrash:
+      record.kind = RunFailureKind::kCrash;
+      return false;
+    case dist::WireFailureKind::kException:
+      record.kind = RunFailureKind::kException;
+      return false;
+    case dist::WireFailureKind::kTimeout:
+    case dist::WireFailureKind::kCancelled:
+      break;
+  }
+  record.kind = failure.kind == dist::WireFailureKind::kTimeout || timedOut
+                    ? RunFailureKind::kTimeout
+                    : RunFailureKind::kCancelled;
+  return true;
+}
+
 }  // namespace
+
+Watchdog::Watchdog(double wallSeconds, CancellationToken sweepToken,
+                   std::size_t slotCount)
+    : wallSeconds_(wallSeconds), sweepToken_(std::move(sweepToken)),
+      slots_(slotCount),
+      active_(wallSeconds > 0.0 || sweepToken_.valid()) {
+  if (active_) {
+    thread_ = std::thread([this] { loop(); });
+  }
+}
+
+Watchdog::~Watchdog() {
+  if (thread_.joinable()) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+}
+
+void Watchdog::arm(std::size_t slot) {
+  if (wallSeconds_ <= 0.0) {
+    return;
+  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  slots_[slot].deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(wallSeconds_));
+}
+
+void Watchdog::disarm(std::size_t slot) {
+  if (wallSeconds_ <= 0.0) {
+    return;
+  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  slots_[slot].deadline.reset();
+}
+
+void Watchdog::loop() {
+  // Poll fast enough to bound deadline overshoot to a fraction of the
+  // deadline itself, but never busier than 1 kHz.
+  using std::chrono::milliseconds;
+  const auto poll =
+      wallSeconds_ > 0.0
+          ? std::clamp(milliseconds(static_cast<long>(
+                           wallSeconds_ * 1000.0 / 4.0)),
+                       milliseconds(1), milliseconds(20))
+          : milliseconds(5);
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (!stop_) {
+    cv_.wait_for(lock, poll, [this] { return stop_; });
+    if (stop_) {
+      return;
+    }
+    const bool sweepStop = sweepToken_.stopRequested();
+    const auto now = std::chrono::steady_clock::now();
+    for (Slot& slot : slots_) {
+      if (sweepStop) {
+        slot.source.requestStop();
+      }
+      if (slot.deadline.has_value() && now >= *slot.deadline) {
+        slot.timedOut.store(true, std::memory_order_relaxed);
+        slot.source.requestStop();
+        slot.deadline.reset();
+      }
+    }
+  }
+}
 
 RunRecord makeRunRecord(const perf::RunProfile& profile, int cores) {
   return RunRecord{cores,
@@ -73,7 +247,7 @@ std::optional<TaskOutcome> restoredOutcome(const SweepCheckpoint& restoredState,
 }
 
 TaskOutcome runCoreCountTask(const RunTaskContext& context, int cores,
-                             RunLifecycle& lifecycle) {
+                             Watchdog& watchdog, std::size_t slot) {
   TaskOutcome outcome;
   if (context.sweepCancel.stopRequested()) {
     // Graceful stop before the first attempt: stay pending (a resume
@@ -85,140 +259,30 @@ TaskOutcome runCoreCountTask(const RunTaskContext& context, int cores,
   failure.cores = cores;
   failure.poolSize = context.poolSize;
   for (int attempt = 0; attempt < context.maxAttempts; ++attempt) {
-    try {
-      // The deadline covers the whole attempt, beforeRun included — a
-      // hook that hangs is exactly the overrun the watchdog exists for.
-      const ArmedDeadline deadline(lifecycle);
-      if (context.beforeRun) {
-        context.beforeRun(cores, attempt);
+    dist::TaskResult result =
+        runAttempt(context, cores, attempt, watchdog, slot);
+    failure.attempts = attempt + 1;
+    if (result.hasProfile) {
+      if (attempt > 0) {
+        failure.recovered = true;
+        outcome.failure = failure;
       }
-      sim::SimConfig simConfig = *context.sim;
-      // Retry under a perturbed seed: if the failure was input-shaped
-      // (a pathological arrival pattern), a different deterministic
-      // stream can clear it; attempt 0 keeps the configured seed.
-      constexpr std::uint64_t kSeedStep = 0x9E3779B97F4A7C15ULL;
-      simConfig.seed =
-          context.sim->seed + static_cast<std::uint64_t>(attempt) * kSeedStep;
-      simConfig.cycleBudget = context.cycleBudget;
-      if (context.isolation.enabled) {
-        // Isolated attempt: the child rebuilds the workload and simulator
-        // from the same seeds (bit-identical inputs, bit-identical
-        // profile); the parent-side token cannot cross the fork, so the
-        // supervisor polls it and SIGKILLs the child instead of the
-        // simulator unwinding cooperatively. The deterministic cycle
-        // budget still aborts inside the child.
-        exec::ProcessRunnerConfig runnerConfig;
-        runnerConfig.limits.memoryBytes = context.isolation.memoryBytes;
-        runnerConfig.limits.cpuSeconds = context.isolation.cpuSeconds;
-        runnerConfig.stderrTailBytes = context.isolation.stderrTailBytes;
-        if (lifecycle.active()) {
-          runnerConfig.cancel = lifecycle.token();
-        }
-        exec::ChildOutcome child = exec::runInChild(
-            [&context, &simConfig, cores] {
-              workloads::WorkloadInstance instance =
-                  workloads::makeWorkload(*context.workload);
-              sim::MachineSim simulator(*context.machine, simConfig);
-              return simulator.run(instance.threads, cores, instance.name);
-            },
-            runnerConfig);
-        failure.attempts = attempt + 1;
-        switch (child.status) {
-          case exec::ChildStatus::kOk:
-            if (attempt > 0) {
-              failure.recovered = true;
-              outcome.failure = failure;
-            }
-            outcome.record = makeRunRecord(child.profile, cores);
-            outcome.profile = std::move(child.profile);
-            return outcome;
-          case exec::ChildStatus::kException:
-            // Same retry semantics as an in-process throw; clear any
-            // crash detail a previous attempt left behind.
-            failure.error = std::move(child.error);
-            failure.kind = RunFailureKind::kException;
-            failure.signal = 0;
-            failure.rlimit.clear();
-            failure.stderrTail.clear();
-            break;
-          case exec::ChildStatus::kAborted: {
-            failure.error = std::move(child.error);
-            const bool overran =
-                child.abortReason == AbortReason::kCycleBudget ||
-                lifecycle.timedOut();
-            failure.kind = overran ? RunFailureKind::kTimeout
-                                   : RunFailureKind::kCancelled;
-            outcome.failure = failure;
-            return outcome;
-          }
-          case exec::ChildStatus::kKilled:
-            // The supervisor SIGKILLed on the token: same deadline /
-            // sweep-stop classification as a cooperative unwind.
-            failure.error = std::move(child.error);
-            failure.kind = lifecycle.timedOut() ? RunFailureKind::kTimeout
-                                                : RunFailureKind::kCancelled;
-            outcome.failure = failure;
-            return outcome;
-          case exec::ChildStatus::kCrash:
-            // Crash containment: keep the evidence (signal, rlimit,
-            // stderr tail) and retry under the perturbed seed, exactly
-            // like an exception.
-            failure.error = std::move(child.error);
-            failure.kind = RunFailureKind::kCrash;
-            failure.signal = child.signal;
-            failure.rlimit = std::move(child.rlimit);
-            failure.stderrTail = std::move(child.stderrTail);
-            break;
-        }
-      } else {
-        if (lifecycle.active()) {
-          simConfig.cancel = lifecycle.token();
-        }
-        // A fresh instance per task (not a shared reset one): building
-        // from the same spec seed yields bit-identical streams, and
-        // private streams are what lets tasks run concurrently at all.
-        workloads::WorkloadInstance instance =
-            workloads::makeWorkload(*context.workload);
-        sim::MachineSim simulator(*context.machine, simConfig);
-        perf::RunProfile profile =
-            simulator.run(instance.threads, cores, instance.name);
-        failure.attempts = attempt + 1;
-        if (attempt > 0) {
-          failure.recovered = true;
-          outcome.failure = failure;
-        }
-        outcome.record = makeRunRecord(profile, cores);
-        outcome.profile = std::move(profile);
-        return outcome;
-      }
-    } catch (const RunAborted& e) {
-      // Lifecycle outcomes are terminal: a timed-out run would time out
-      // again and a cancelled sweep wants to wind down, so neither is
-      // retried. kCycleBudget and a fired wall deadline are both
-      // "overran its limits"; everything else the token carried is the
-      // sweep-wide stop.
-      failure.error = e.what();
-      failure.attempts = attempt + 1;
-      const bool overran =
-          e.reason() == AbortReason::kCycleBudget || lifecycle.timedOut();
-      failure.kind =
-          overran ? RunFailureKind::kTimeout : RunFailureKind::kCancelled;
-      outcome.failure = failure;
+      outcome.record = makeRunRecord(result.profile, cores);
+      outcome.profile = std::move(result.profile);
       return outcome;
-    } catch (const std::exception& e) {
-      failure.error = e.what();
-      failure.attempts = attempt + 1;
-      failure.kind = RunFailureKind::kException;
-      failure.signal = 0;
-      failure.rlimit.clear();
-      failure.stderrTail.clear();
     }
-    if (context.sweepCancel.stopRequested()) {
+    bool ended = settleFailure(failure, std::move(result.failure),
+                               watchdog.timedOut(slot));
+    if (!ended && context.sweepCancel.stopRequested()) {
       // Stop requested between attempts: don't burn retries on a sweep
       // that is winding down.
-      failure.kind = RunFailureKind::kCancelled;
-      outcome.failure = failure;
-      return outcome;
+      dist::TaskFailure stop;
+      stop.kind = dist::WireFailureKind::kCancelled;
+      stop.error = std::move(failure.error);
+      ended = settleFailure(failure, std::move(stop), watchdog.timedOut(slot));
+    }
+    if (ended) {
+      break;
     }
   }
   outcome.failure = failure;

@@ -9,15 +9,21 @@
 // task run in-process, so the deterministic request-order merge cannot
 // tell them apart.
 //
-// Lifecycle control (wall deadlines, sweep-wide stop relays) is injected
-// through RunLifecycle: the local path adapts the sweep's Watchdog, the
-// worker path runs without one (the coordinator's lease expiry is the
-// hang recovery across a fleet).
+// Lifecycle control (wall deadlines, sweep-wide stop relays) comes from a
+// Watchdog slot: the local path shares one Watchdog across the sweep, the
+// worker path passes an inactive one (the coordinator's lease expiry is
+// the hang recovery across a fleet).
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 
 #include "analysis/sweep_state.hpp"
 #include "common/cancellation.hpp"
@@ -31,12 +37,12 @@ namespace occm::analysis {
 /// Per-attempt process isolation and resource budgets (exec/process_runner).
 /// Off by default: every attempt then runs in-process, exactly as before.
 /// When enabled, each attempt forks a child that rebuilds the workload and
-/// simulator from the same seeds and ships its RunProfile back over a
-/// CRC-checked pipe frame — so a segfault, abort, or rlimit death takes
-/// out one attempt (recorded as RunFailure{kind = kCrash}, retried and
-/// checkpointed like an exception) instead of the whole sweep, and
-/// successful runs stay bit-identical to the in-process path at any pool
-/// size. Cost: a fork per attempt, and RunProfile::trace is not shipped
+/// simulator from the same seeds and reports through the fleet's
+/// CRC-framed result message over a pipe — so a segfault, abort, or rlimit
+/// death takes out one attempt (recorded as RunFailure{kind = kCrash},
+/// retried and checkpointed like an exception) instead of the whole sweep,
+/// and successful runs stay bit-identical to the in-process path at any
+/// pool size. Cost: a fork per attempt, and RunProfile::trace is not shipped
 /// back (traces stay a single-process feature). Crash-injection fault
 /// plans (FaultPlan::hasCrash()) require this mode.
 struct IsolationConfig {
@@ -78,26 +84,63 @@ struct TaskOutcome {
   bool skipped = false;
 };
 
-/// Lifecycle hooks for one task, injected so the attempt loop does not
-/// know whether a Watchdog (local sweep) or nothing (distributed worker;
-/// lease expiry recovers hangs coordinator-side) is behind them.
-class RunLifecycle {
+/// Watchdog for per-run wall deadlines and sweep-wide cancellation. One
+/// thread per sweep (started only when either feature is configured)
+/// polls the slots: an expired deadline marks its slot timed-out and
+/// fires the slot's cancellation source; a sweep-level stop request is
+/// relayed into every slot. The simulator then unwinds at its next
+/// event-loop cancellation point — the watchdog never touches run state,
+/// so completed runs stay bit-deterministic. Watchdog(0.0, {}, 1) is the
+/// inactive one a fleet worker runs tasks under: no thread, no deadline.
+class Watchdog {
  public:
-  virtual ~RunLifecycle() = default;
-  /// Arms the wall deadline for the attempt about to start.
-  virtual void arm() {}
-  /// Disarms it (called on every exit path of the attempt).
-  virtual void disarm() {}
-  /// True when this task's armed deadline fired.
-  [[nodiscard]] virtual bool timedOut() const { return false; }
-  /// Cancellation token attempts should honor (only read when active()).
-  [[nodiscard]] virtual CancellationToken token() const { return {}; }
-  /// Whether token() is live (mirrors the Watchdog's active()).
-  [[nodiscard]] virtual bool active() const { return false; }
-};
+  Watchdog(double wallSeconds, CancellationToken sweepToken,
+           std::size_t slotCount);
+  ~Watchdog();
 
-/// The no-op lifecycle (no deadline, no cancellation relay).
-class NullLifecycle final : public RunLifecycle {};
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+
+  /// True when a thread is watching (a wall deadline or sweep token is
+  /// configured); when false, tokenFor() still works but never fires.
+  [[nodiscard]] bool active() const noexcept { return active_; }
+
+  [[nodiscard]] CancellationToken tokenFor(std::size_t slot) const {
+    return slots_[slot].source.token();
+  }
+
+  /// True when slot's armed deadline fired.
+  [[nodiscard]] bool timedOut(std::size_t slot) const noexcept {
+    return slots_[slot].timedOut.load(std::memory_order_relaxed);
+  }
+
+  /// Arms slot's deadline at now + wallSeconds (no-op without one).
+  void arm(std::size_t slot);
+  void disarm(std::size_t slot);
+
+ private:
+  /// One per sweep task: the cancellation source the watchdog (or a
+  /// relayed sweep-wide stop) fires into the run, plus the armed deadline
+  /// for the attempt in flight. Held in a deque because std::atomic makes
+  /// the slot immovable.
+  struct Slot {
+    CancellationSource source;
+    std::atomic<bool> timedOut{false};
+    /// Deadline of the attempt in flight; guarded by mutex_.
+    std::optional<std::chrono::steady_clock::time_point> deadline;
+  };
+
+  void loop();
+
+  const double wallSeconds_;
+  const CancellationToken sweepToken_;
+  std::deque<Slot> slots_;
+  const bool active_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool stop_ = false;
+  std::thread thread_;
+};
 
 /// Checkpoint row for a completed profile — shared by the in-process and
 /// isolated attempt paths so both persist byte-identical records.
@@ -133,11 +176,12 @@ struct RunTaskContext {
 };
 
 /// Runs one core count to completion: attempts (with seed-perturbed
-/// retries) until a profile or a permanent failure. Builds a private
-/// workload instance and simulator per attempt, so concurrent tasks share
-/// nothing mutable; no exception escapes.
+/// retries) until a profile or a permanent failure, each attempt under
+/// `slot` of `watchdog`. Builds a private workload instance and simulator
+/// per attempt, so concurrent tasks share nothing mutable; no exception
+/// escapes.
 [[nodiscard]] TaskOutcome runCoreCountTask(const RunTaskContext& context,
-                                           int cores,
-                                           RunLifecycle& lifecycle);
+                                           int cores, Watchdog& watchdog,
+                                           std::size_t slot);
 
 }  // namespace occm::analysis

@@ -14,7 +14,6 @@
 
 #include "common/error.hpp"
 #include "exec/frame_transport.hpp"
-#include "exec/ipc.hpp"
 
 namespace occm::exec::dist {
 

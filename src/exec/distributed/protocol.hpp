@@ -1,9 +1,11 @@
 #pragma once
 
 // Wire protocol of the distributed sweep fleet: the typed messages a
-// coordinator and its workers exchange over framed TCP (the same
-// length-prefixed CRC-32 frames as the isolation pipe, reassembled from
-// the stream by exec/frame_transport).
+// coordinator and its workers exchange over framed TCP (length-prefixed
+// CRC-32 frames, reassembled from the stream by exec/frame_transport).
+// A forked isolated attempt (exec/process_runner) reports through the
+// same kResult message over its result pipe, so a run's outcome has one
+// encoding however it was executed.
 //
 // Layering: exec sits below analysis, so the protocol knows nothing about
 // SweepConfig. A JobSpec carries everything a worker needs to rebuild one
@@ -30,7 +32,7 @@
 
 #include "common/expected.hpp"
 #include "common/types.hpp"
-#include "exec/ipc.hpp"
+#include "exec/wire_codec.hpp"
 #include "perf/run_profile.hpp"
 #include "topology/machine_spec.hpp"
 

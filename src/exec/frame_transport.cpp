@@ -35,6 +35,16 @@ int remainingMs(std::chrono::steady_clock::time_point deadline, bool armed) {
 
 }  // namespace
 
+std::string encodeFrame(std::string_view payload) {
+  std::string out;
+  out.reserve(payload.size() + kFrameOverhead);
+  out.append(kFrameMagic, sizeof kFrameMagic);
+  wire::putU32(out, static_cast<std::uint32_t>(payload.size()));
+  out.append(payload.data(), payload.size());
+  wire::putU32(out, crc32(payload));
+  return out;
+}
+
 void FrameReassembler::poison(std::size_t offsetInFrame,
                               const std::string& detail, bool truncated) {
   corrupt_ = true;

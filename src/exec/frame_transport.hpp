@@ -1,13 +1,17 @@
 #pragma once
 
-// Generalizes exec/ipc's length-prefixed CRC-32 frame codec from "one
-// frame, read to EOF on a pipe" to byte streams: a FrameReassembler that
-// accepts arbitrary chunks (sockets fragment and coalesce at will) and
-// yields complete validated payloads, plus a FrameTransport abstraction
-// with pipe and socket implementations for blocking framed message
-// exchange with deadlines.
+// The one length-prefixed CRC-32 frame codec of the exec layer: every
+// payload a forked isolated attempt, a fleet worker or an advisor client
+// sends travels as
 //
-// Robustness contract, same spirit as the pipe decoder:
+//   "OCF1" | u32 payload length (LE) | payload | u32 CRC-32(payload) (LE)
+//
+// encodeFrame writes it; a FrameReassembler decodes it from arbitrary
+// chunks (sockets and pipes fragment and coalesce at will) and yields
+// complete validated payloads. FrameTransport wraps both into blocking
+// framed message exchange with deadlines over pipes and sockets.
+//
+// Robustness contract:
 //  - Every header field is validated before its payload is buffered; a
 //    declared length above the max-frame guard is rejected immediately
 //    (no allocation proportional to attacker-controlled bytes).
@@ -28,9 +32,25 @@
 #include <string_view>
 
 #include "common/expected.hpp"
-#include "exec/ipc.hpp"
+#include "exec/wire_codec.hpp"
 
 namespace occm::exec {
+
+/// Frame geometry: the header must be parseable before the payload
+/// arrives.
+inline constexpr char kFrameMagic[4] = {'O', 'C', 'F', '1'};
+inline constexpr std::size_t kFrameHeaderSize = 8;   ///< magic + u32 length
+inline constexpr std::size_t kFrameTrailerSize = 4;  ///< u32 payload CRC
+inline constexpr std::size_t kFrameOverhead =
+    kFrameHeaderSize + kFrameTrailerSize;
+/// Max payload a peer may declare. Anything larger is rejected before a
+/// single payload byte is buffered — a corrupt or hostile length field
+/// must never drive a multi-gigabyte allocation.
+inline constexpr std::uint32_t kMaxFramePayload = 1U << 24;
+
+/// Wraps a payload in the wire frame: magic, u32 length, payload bytes,
+/// u32 CRC-32 of the payload.
+[[nodiscard]] std::string encodeFrame(std::string_view payload);
 
 /// Incremental frame parser over an untrusted byte stream.
 class FrameReassembler {
@@ -165,7 +185,7 @@ class FdFrameTransport final : public FrameTransport {
 [[nodiscard]] bool sendAllBytes(int fd, std::string_view bytes, bool isSocket,
                                 int unwritableTimeoutMs = 5'000);
 
-/// Pipe-based transport (the isolation supervisor's shape).
+/// Pipe-based transport (distinct read and write fds).
 [[nodiscard]] std::unique_ptr<FrameTransport> makePipeTransport(int readFd,
                                                                 int writeFd);
 /// Socket-based transport (one duplex fd).

@@ -19,24 +19,38 @@
 #include <csignal>
 #include <cstring>
 #include <new>
+#include <optional>
 #include <thread>
 
 #include "common/error.hpp"
-#include "exec/ipc.hpp"
+#include "common/expected.hpp"
+#include "exec/frame_transport.hpp"
 #include "fault/crash_injection.hpp"
 
 namespace occm::exec {
 
 bool processIsolationSupported() noexcept { return OCCM_HAS_FORK != 0; }
 
+dist::TaskFailure failureFromException(std::exception_ptr error) {
+  dist::TaskFailure failure;
+  try {
+    std::rethrow_exception(error);
+  } catch (const RunAborted& aborted) {
+    failure.kind = aborted.reason() == AbortReason::kCycleBudget
+                       ? dist::WireFailureKind::kTimeout
+                       : dist::WireFailureKind::kCancelled;
+    failure.error = aborted.what();
+  } catch (const std::exception& e) {
+    failure.error = e.what();
+  } catch (...) {
+    failure.error = "unknown exception escaped the run";
+  }
+  return failure;
+}
+
 #if OCCM_HAS_FORK
 
 namespace {
-
-/// Hard cap on the bytes the supervisor will buffer from the result pipe:
-/// a real profile is kilobytes; anything past this is a protocol
-/// violation, not a result.
-constexpr std::size_t kMaxResultBytes = std::size_t{64} << 20;
 
 /// Supervisor poll cadence while the child runs. Bounds how stale the
 /// cancellation token can get before the SIGKILL lands.
@@ -71,23 +85,7 @@ void applyLimit(int resource, std::uint64_t value) {
   ::setrlimit(resource, &limit);
 }
 
-bool writeAll(int fd, const std::string& bytes) {
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Child side: apply limits, run the work, frame the outcome, _exit.
+/// Child side: apply limits, run the work, frame the result, _exit.
 /// Never returns to the caller's stack; _exit (not exit) skips atexit
 /// handlers and parent-inherited stdio flushes.
 [[noreturn]] void childMain(int resultFd,
@@ -98,24 +96,19 @@ bool writeAll(int fd, const std::string& bytes) {
   if (limits.memoryBytes > 0) {
     std::set_new_handler(oomAbortHandler);
   }
-  ChildMessage message;
+  dist::WireMessage message;
+  message.kind = dist::WireMessage::Kind::kResult;
   try {
-    message.profile = work();
-    message.kind = ChildMessage::Kind::kProfile;
-  } catch (const RunAborted& aborted) {
-    message.kind = ChildMessage::Kind::kAborted;
-    message.error = aborted.what();
-    message.abortReason = static_cast<std::uint8_t>(aborted.reason());
-    message.abortCycle = aborted.atCycle();
-  } catch (const std::exception& e) {
-    message.kind = ChildMessage::Kind::kException;
-    message.error = e.what();
+    message.result.profile = work();
+    message.result.hasProfile = true;
   } catch (...) {
-    message.kind = ChildMessage::Kind::kException;
-    message.error = "unknown exception escaped the isolated run";
+    message.result.hasFailure = true;
+    message.result.failure = failureFromException(std::current_exception());
   }
-  const std::string frame = encodeFrame(encodeChildMessage(message));
-  writeAll(resultFd, frame);
+  // A failed write leaves a clean exit without a frame, which the
+  // supervisor reports as a crash; there is nothing else to do here.
+  static_cast<void>(sendAllBytes(
+      resultFd, encodeFrame(dist::encodeMessage(message)), /*isSocket=*/false));
   ::close(resultFd);
   ::_exit(0);
 }
@@ -151,10 +144,42 @@ const char* signalName(int sig) {
   }
 }
 
+/// The result a cleanly exited child framed: exactly one valid kResult
+/// frame holding a profile or a failure, and nothing after it. The error
+/// says how the child broke that protocol.
+Expected<dist::TaskResult, std::string> framedResult(
+    const FrameReassembler& reassembler,
+    const std::optional<std::string>& payload, bool extraFrame) {
+  if (reassembler.corrupt()) {
+    return makeUnexpected("its result frame is invalid: " +
+                          reassembler.error().message());
+  }
+  if (!payload.has_value()) {
+    return makeUnexpected(std::string(reassembler.buffered() == 0
+                                          ? "it wrote no result frame"
+                                          : "its result frame is truncated"));
+  }
+  if (extraFrame || reassembler.buffered() != 0) {
+    return makeUnexpected(
+        std::string("it wrote bytes after its result frame"));
+  }
+  auto message = dist::decodeMessage(*payload);
+  if (!message) {
+    return makeUnexpected("its result message is invalid: " +
+                          message.error().message());
+  }
+  if (message->kind != dist::WireMessage::Kind::kResult ||
+      message->result.hasProfile == message->result.hasFailure) {
+    return makeUnexpected(
+        std::string("its frame is not a profile-or-failure result"));
+  }
+  return std::move(message->result);
+}
+
 }  // namespace
 
-ChildOutcome runInChild(const std::function<perf::RunProfile()>& work,
-                        const ProcessRunnerConfig& config) {
+dist::TaskResult runInChild(const std::function<perf::RunProfile()>& work,
+                            const ProcessRunnerConfig& config) {
   OCCM_REQUIRE_MSG(static_cast<bool>(work),
                    "runInChild needs a work function");
   int resultPipe[2];
@@ -192,9 +217,13 @@ ChildOutcome runInChild(const std::function<perf::RunProfile()>& work,
   ::close(resultPipe[1]);
   ::close(errPipe[1]);
 
-  std::string resultBytes;
+  // The result pipe carries one frame. Bytes keep draining to EOF even
+  // after the reassembler poisons or a second frame shows up, so the child
+  // never blocks on a full pipe; they are simply no longer buffered.
+  FrameReassembler reassembler;
+  std::optional<std::string> payload;
+  bool extraFrame = false;
   std::string tail;
-  bool resultOverflow = false;
   bool killedByUs = false;
   bool resultOpen = true;
   bool errOpen = true;
@@ -247,10 +276,15 @@ ChildOutcome runInChild(const std::function<perf::RunProfile()>& work,
       if (n > 0) {
         const auto got = static_cast<std::size_t>(n);
         if (isResult) {
-          if (resultBytes.size() + got > kMaxResultBytes) {
-            resultOverflow = true;
-          } else {
-            resultBytes.append(buffer, got);
+          if (!extraFrame &&
+              reassembler.feed(std::string_view(buffer, got))) {
+            while (std::optional<std::string> frame = reassembler.next()) {
+              if (payload.has_value()) {
+                extraFrame = true;
+              } else {
+                payload = std::move(frame);
+              }
+            }
           }
         } else {
           tail.append(buffer, got);
@@ -288,92 +322,61 @@ ChildOutcome runInChild(const std::function<perf::RunProfile()>& work,
     std::this_thread::sleep_for(std::chrono::milliseconds(kPollMillis));
   }
 
-  ChildOutcome outcome;
-  outcome.stderrTail = sanitizeTail(tail);
+  dist::TaskResult result;
+  result.hasFailure = true;
+  dist::TaskFailure& failure = result.failure;
   const bool exited = WIFEXITED(status);
   const bool signalled = WIFSIGNALED(status);
   const int exitCode = exited ? WEXITSTATUS(status) : -1;
   const int deathSignal = signalled ? WTERMSIG(status) : 0;
 
-  if (exited && exitCode == 0 && !resultOverflow) {
-    // Clean exit: the frame is authoritative.
-    auto payload = decodeFrame(resultBytes);
-    if (!payload) {
-      outcome.status = ChildStatus::kCrash;
-      outcome.exitCode = exitCode;
-      outcome.error = "child exited cleanly but its result frame is "
-                      "invalid: " + payload.error().message();
-      return outcome;
+  if (exited && exitCode == 0) {
+    // Clean exit: the frame is authoritative — if the child kept the
+    // protocol. A child that lies about success is a crash, never trusted.
+    auto framed = framedResult(reassembler, payload, extraFrame);
+    if (framed) {
+      return std::move(*framed);
     }
-    auto message = decodeChildMessage(*payload);
-    if (!message) {
-      outcome.status = ChildStatus::kCrash;
-      outcome.exitCode = exitCode;
-      outcome.error = "child exited cleanly but its result message is "
-                      "invalid: " + message.error().message();
-      return outcome;
-    }
-    switch (message->kind) {
-      case ChildMessage::Kind::kProfile:
-        outcome.status = ChildStatus::kOk;
-        outcome.profile = std::move(message->profile);
-        break;
-      case ChildMessage::Kind::kException:
-        outcome.status = ChildStatus::kException;
-        outcome.error = std::move(message->error);
-        break;
-      case ChildMessage::Kind::kAborted:
-        outcome.status = ChildStatus::kAborted;
-        outcome.error = std::move(message->error);
-        outcome.abortReason =
-            message->abortReason ==
-                    static_cast<std::uint8_t>(AbortReason::kCycleBudget)
-                ? AbortReason::kCycleBudget
-                : AbortReason::kCancelled;
-        outcome.abortCycle = message->abortCycle;
-        break;
-    }
-    return outcome;
+    failure.kind = dist::WireFailureKind::kCrash;
+    failure.stderrTail = sanitizeTail(tail);
+    failure.error = "child exited cleanly but " + framed.error();
+    return result;
   }
 
   if (killedByUs) {
-    outcome.status = ChildStatus::kKilled;
-    outcome.signal = SIGKILL;
-    outcome.error = "isolated run killed by the supervisor "
+    failure.kind = dist::WireFailureKind::kCancelled;
+    failure.error = "isolated run killed by the supervisor "
                     "(cancellation or deadline)";
-    return outcome;
+    return result;
   }
 
-  outcome.status = ChildStatus::kCrash;
-  outcome.signal = deathSignal;
-  outcome.exitCode = exitCode;
+  failure.kind = dist::WireFailureKind::kCrash;
+  failure.signal = deathSignal;
+  failure.stderrTail = sanitizeTail(tail);
   if (deathSignal == SIGXCPU) {
-    outcome.rlimit = "cpu";
-  } else if (outcome.stderrTail.find(fault::kOutOfMemoryMarker) !=
+    failure.rlimit = "cpu";
+  } else if (failure.stderrTail.find(fault::kOutOfMemoryMarker) !=
              std::string::npos) {
-    outcome.rlimit = "address-space";
+    failure.rlimit = "address-space";
   }
-  if (resultOverflow) {
-    outcome.error = "child flooded the result pipe past " +
-                    std::to_string(kMaxResultBytes) + " bytes";
-  } else if (signalled) {
-    outcome.error = "child terminated by signal " +
+  if (signalled) {
+    failure.error = "child terminated by signal " +
                     std::to_string(deathSignal) + " (" +
                     signalName(deathSignal) + ")";
   } else {
-    outcome.error =
-        "child exited with status " + std::to_string(exitCode);
+    failure.error = "child exited with status " + std::to_string(exitCode);
   }
-  if (!outcome.rlimit.empty()) {
-    outcome.error += " after exceeding its " + outcome.rlimit + " limit";
+  if (!failure.rlimit.empty()) {
+    failure.error += " after exceeding its " + failure.rlimit + " limit";
   }
-  return outcome;
+  return result;
 }
 
 #else  // !OCCM_HAS_FORK
 
-ChildOutcome runInChild(const std::function<perf::RunProfile()>& /*work*/,
-                        const ProcessRunnerConfig& /*config*/) {
+dist::TaskResult runInChild(
+    const std::function<perf::RunProfile()>& /*work*/,
+    const ProcessRunnerConfig& /*config*/) {
   throw ContractViolation(
       "process isolation (fork) is not supported on this platform");
 }

@@ -1,33 +1,37 @@
 #pragma once
 
 // Process isolation for one unit of work: fork a child, run the work
-// function there under optional resource limits, stream the result back
-// over a length-prefixed pipe frame (exec/ipc), and decode whatever
-// happened — a clean result, a caught exception, a cooperative abort, or
-// a hard death (signal, rlimit, nonzero exit) — into a structured
-// ChildOutcome the caller can record without ever crashing itself.
+// function there under optional resource limits, and report whatever
+// happened as the same dist::TaskResult a fleet worker sends — a profile,
+// a caught failure, or a hard death (signal, rlimit, nonzero exit) — so
+// the caller records it without ever crashing itself.
 //
 // Contract highlights (DESIGN.md §11):
-//  - The child runs the work exactly as the calling process would:
-//    identical inputs produce a bit-identical RunProfile, shipped over a
-//    fixed-width binary frame — isolation changes failure behavior, never
-//    results.
+//  - The child runs the work exactly as the calling process would and
+//    writes one WireMessage{kResult} frame (exec/frame_transport,
+//    exec/distributed/protocol) to the result pipe: identical inputs
+//    produce a bit-identical RunProfile — isolation changes failure
+//    behavior, never results.
 //  - The supervisor never blocks on a dead pipe: it polls both the result
-//    and stderr pipes, keeps a bounded stderr tail, and reaps the child
-//    with waitpid after both hit EOF.
+//    and stderr pipes to EOF, feeds the result bytes to a
+//    FrameReassembler, keeps a bounded stderr tail, and reaps the child
+//    with waitpid. A clean exit is trusted only with exactly one valid
+//    kResult frame and no leftover bytes; anything else is kCrash.
 //  - A cancellation token is parent-side: tokens do not propagate across
 //    fork, so the supervisor polls it and SIGKILLs the child (reported as
-//    kKilled, for the caller's timeout/cancel classification).
+//    kCancelled, for the caller's timeout/cancel classification).
 //  - RLIMIT_AS failures are deterministic: the child installs a
 //    new-handler that writes fault::kOutOfMemoryMarker to stderr and
 //    aborts, so the parent can report "address-space" instead of a bare
 //    SIGABRT.
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <string>
 
 #include "common/cancellation.hpp"
+#include "exec/distributed/protocol.hpp"
 #include "perf/run_profile.hpp"
 
 namespace occm::exec {
@@ -45,62 +49,32 @@ struct ProcessRunnerConfig {
   /// written are the ones that explain a death).
   std::size_t stderrTailBytes = 4096;
   /// Parent-side kill switch: when the token fires, the supervisor
-  /// SIGKILLs the child and reports kKilled.
+  /// SIGKILLs the child and reports kCancelled.
   CancellationToken cancel;
 };
 
-/// How the isolated attempt ended.
-enum class ChildStatus : std::uint8_t {
-  kOk,         ///< clean exit, valid frame, profile decoded
-  kException,  ///< the work threw; `error` is what()
-  kAborted,    ///< the work unwound via RunAborted (budget/cancel)
-  kKilled,     ///< the supervisor killed the child (cancel token fired)
-  kCrash,      ///< the child died: signal, rlimit, or protocol violation
-};
-
-[[nodiscard]] constexpr const char* toString(ChildStatus status) noexcept {
-  switch (status) {
-    case ChildStatus::kOk: return "ok";
-    case ChildStatus::kException: return "exception";
-    case ChildStatus::kAborted: return "aborted";
-    case ChildStatus::kKilled: return "killed";
-    case ChildStatus::kCrash: return "crash";
-  }
-  return "unknown";
-}
-
-struct ChildOutcome {
-  ChildStatus status = ChildStatus::kCrash;
-  perf::RunProfile profile;  ///< kOk only
-  /// Human-readable description for kException / kAborted / kCrash.
-  std::string error;
-  /// kAborted only: reason and cycle for an equivalent RunAborted.
-  AbortReason abortReason = AbortReason::kCancelled;
-  Cycles abortCycle = 0;
-  /// kCrash / kKilled: signal that terminated the child (0 = exited).
-  int signal = 0;
-  /// kCrash: exit status when the child exited instead of dying on a
-  /// signal (sanitizer deaths land here); -1 otherwise.
-  int exitCode = -1;
-  /// Which resource limit explains the death: "address-space" (RLIMIT_AS
-  /// via the OOM marker), "cpu" (SIGXCPU), or empty.
-  std::string rlimit;
-  /// Bounded tail of the child's stderr, sanitized to printable ASCII.
-  std::string stderrTail;
-};
+/// The failure a caught exception stands for: RunAborted on the cycle
+/// budget is kTimeout, any other RunAborted kCancelled, and everything
+/// else kException with what(). Shared by the forked child and the
+/// in-process attempt loop, so both classify a throw identically.
+[[nodiscard]] dist::TaskFailure failureFromException(std::exception_ptr error);
 
 /// True when this platform supports fork-based isolation (POSIX).
 [[nodiscard]] bool processIsolationSupported() noexcept;
 
-/// Runs `work` in a forked child under `config` and returns the decoded
-/// outcome. Child-side failures of every shape come back as data; the
-/// only throws are parent-side setup contract violations (pipe/fork
+/// Runs `work` in a forked child under `config` and returns its result:
+/// the profile, or a failure — what the child caught
+/// (failureFromException), kCrash for a death (signal, rlimit and stderr
+/// tail filled in) or for a child that broke the frame protocol, and
+/// kCancelled when the supervisor killed it on `config.cancel`.
+/// taskId and the failure's attempts/recovered are left for the caller.
+/// The only throws are parent-side setup contract violations (pipe/fork
 /// failure, unsupported platform).
 ///
 /// The caller must treat `work` as running in a separate address space:
 /// side effects on parent memory do not happen, and the observability
 /// trace (RunProfile::trace) is not shipped back.
-[[nodiscard]] ChildOutcome runInChild(
+[[nodiscard]] dist::TaskResult runInChild(
     const std::function<perf::RunProfile()>& work,
     const ProcessRunnerConfig& config = {});
 

@@ -2,6 +2,22 @@
 
 #include <bit>
 
+namespace occm::exec {
+
+std::string IpcError::message() const {
+  std::string out = "corrupt ipc frame (";
+  out += truncated ? "truncated" : "invalid";
+  out += ") at byte ";
+  out += std::to_string(byteOffset);
+  if (!detail.empty()) {
+    out += ": ";
+    out += detail;
+  }
+  return out;
+}
+
+}  // namespace occm::exec
+
 namespace occm::exec::wire {
 
 void putU8(std::string& out, std::uint8_t value) {

@@ -1,19 +1,33 @@
 #pragma once
 
 // Fixed-width little-endian wire codec shared by every exec serializer:
-// the pipe IPC frames of the isolation supervisor (exec/ipc) and the TCP
-// messages of the distributed coordinator/worker protocol
-// (exec/distributed/protocol). One implementation means one set of
-// bounds-check semantics: every read is checked, counts and string
-// lengths are capped, and the first deviation latches a typed IpcError
-// naming the byte offset — never a throw, never UB on arbitrary bytes.
+// the messages of the distributed coordinator/worker protocol
+// (exec/distributed/protocol), which the isolation supervisor's forked
+// children also speak, and the advisor service's messages. One
+// implementation means one set of bounds-check semantics: every read is
+// checked, counts and string lengths are capped, and the first deviation
+// latches a typed IpcError naming the byte offset — never a throw, never
+// UB on arbitrary bytes.
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 
-#include "exec/ipc.hpp"
 #include "perf/run_profile.hpp"
+
+namespace occm::exec {
+
+/// Typed diagnosis of bytes that are not a valid frame or message.
+struct IpcError {
+  std::size_t byteOffset = 0;  ///< offset of the first deviation
+  std::string detail;
+  bool truncated = false;  ///< the bytes end mid-structure
+
+  /// "corrupt ipc frame (truncated) at byte 12: ..."
+  [[nodiscard]] std::string message() const;
+};
+
+}  // namespace occm::exec
 
 namespace occm::exec::wire {
 
@@ -63,8 +77,9 @@ class Reader {
   IpcError error_;
 };
 
-/// Serializes a full RunProfile (everything but the trace — see
-/// exec/ipc.hpp) in the isolation frame's canonical field order.
+/// Serializes a full RunProfile in canonical field order. Everything but
+/// RunProfile::trace: traces stay a single-process feature, so neither an
+/// isolated child nor a fleet worker ships one back.
 void putProfile(std::string& out, const perf::RunProfile& profile);
 /// Decodes what putProfile produced; deviations latch into the Reader.
 [[nodiscard]] perf::RunProfile readProfile(Reader& in);

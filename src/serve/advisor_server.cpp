@@ -21,7 +21,6 @@
 #include "analysis/experiment.hpp"
 #include "core/speedup.hpp"
 #include "exec/frame_transport.hpp"
-#include "exec/ipc.hpp"
 #include "exec/thread_pool.hpp"
 #include "topology/presets.hpp"
 #include "workloads/problem.hpp"

@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "common/expected.hpp"
-#include "exec/ipc.hpp"
+#include "exec/wire_codec.hpp"
 
 namespace occm::serve {
 

@@ -12,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/csv.hpp"
@@ -315,6 +317,34 @@ TEST(IsolatedSweepLifecycle, CycleBudgetClassifiesAsTimeoutAcrossTheFork) {
     EXPECT_EQ(f.kind, RunFailureKind::kTimeout) << f.error;
     EXPECT_EQ(f.attempts, 1);
   }
+}
+
+TEST(IsolatedSweepLifecycle, TimeoutAfterACrashCarriesNoCrashEvidence) {
+  OCCM_SKIP_UNDER_TSAN();
+  // Attempt 0 of the 3-core run dies on the injected abort; its retry
+  // stalls in beforeRun past the wall deadline and is killed. The record
+  // is a timeout, so the first attempt's signal and stderr tail must not
+  // survive on it: they are crash evidence, kept on crash records only.
+  SweepConfig config = presetConfig(topology::testNuma4(), false);
+  config.parallel.workers = 1;
+  config.coreCounts = {3};
+  config.isolation.enabled = true;
+  config.sim.faultPlan.crashAbort(20'000, 3);
+  config.limits.wallSeconds = 3.0;
+  config.beforeRun = [](int /*cores*/, int attempt) {
+    if (attempt == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(4500));
+    }
+  };
+  const SweepResult sweep = runSweep(config);
+  ASSERT_EQ(sweep.failures.size(), 1u) << sweep.diagnostics();
+  const RunFailure& failure = sweep.failures[0];
+  EXPECT_EQ(failure.cores, 3);
+  EXPECT_EQ(failure.kind, RunFailureKind::kTimeout) << failure.error;
+  EXPECT_EQ(failure.attempts, 2);
+  EXPECT_EQ(failure.signal, 0);
+  EXPECT_TRUE(failure.rlimit.empty()) << failure.rlimit;
+  EXPECT_TRUE(failure.stderrTail.empty()) << failure.stderrTail;
 }
 
 TEST(IsolatedSweepLifecycle, CrashPlanWithoutIsolationIsRefused) {

@@ -1,6 +1,7 @@
 // Sweep lifecycle tests: cycle budgets and wall deadlines convert
 // overrunning runs into RunFailure{kind = kTimeout} while the rest of
-// the sweep completes deterministically; whole-sweep graceful stop
+// the sweep completes deterministically, in-process and across the
+// isolation fork; whole-sweep graceful stop
 // flushes a valid checkpoint and resumes to the uninterrupted result; a
 // checkpoint killed mid-write at any byte boundary quarantines and the
 // resumed sweep is bit-identical to an uninterrupted one, for pool sizes
@@ -21,6 +22,20 @@
 #include "analysis/lifecycle_export.hpp"
 #include "common/cancellation.hpp"
 #include "topology/presets.hpp"
+
+// fork() from a process whose watchdog thread holds tsan-runtime locks can
+// deadlock the child inside the sanitizer, so isolated legs skip there.
+#if defined(__SANITIZE_THREAD__)
+#define OCCM_UNDER_TSAN 1
+#endif
+#if !defined(OCCM_UNDER_TSAN) && defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define OCCM_UNDER_TSAN 1
+#endif
+#endif
+#ifndef OCCM_UNDER_TSAN
+#define OCCM_UNDER_TSAN 0
+#endif
 
 namespace occm::analysis {
 namespace {
@@ -122,29 +137,41 @@ TEST(SweepLifecycle, CycleBudgetConvertsOverrunToTimeoutDeterministically) {
 }
 
 TEST(SweepLifecycle, WallDeadlineMarksOverrunningRunAsTimeout) {
-  SweepConfig config = presetConfig(topology::testNuma4(), false);
-  config.parallel.workers = 1;
-  // The deadline must comfortably exceed a healthy run's wall time (a few
-  // hundred ms here, a few seconds under sanitizers) while the 2-core
-  // attempt stalls well past it inside beforeRun — by the time that run
-  // reaches the simulator's first cancellation point, the watchdog has
-  // long since fired. No tight timing on either side.
-  config.limits.wallSeconds = 3.0;
-  config.beforeRun = [](int cores, int /*attempt*/) {
-    if (cores == 2) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(4500));
-    }
-  };
-  const SweepResult sweep = runSweep(config);
-  EXPECT_FALSE(sweep.stopped);
-  ASSERT_EQ(sweep.failures.size(), 1u);
-  EXPECT_EQ(sweep.failures[0].cores, 2);
-  EXPECT_EQ(sweep.failures[0].kind, RunFailureKind::kTimeout);
-  EXPECT_EQ(sweep.failures[0].attempts, 1);
-  EXPECT_EQ(sweep.pendingCoreCounts(), std::vector<int>{2});
-  EXPECT_EQ(sweep.profiles.size(), 3u);
-  EXPECT_NE(sweep.diagnostics().find("[timeout]"), std::string::npos)
-      << sweep.diagnostics();
+  // In-process, the simulator unwinds at its first cancellation point;
+  // isolated, the supervisor SIGKILLs the child. Both must come back as
+  // the same terminal timeout.
+  std::vector<bool> isolationModes{false};
+  if (!OCCM_UNDER_TSAN) {
+    isolationModes.push_back(true);
+  }
+  for (const bool isolated : isolationModes) {
+    SCOPED_TRACE(isolated ? "isolated" : "in-process");
+    SweepConfig config = presetConfig(topology::testNuma4(), false);
+    config.parallel.workers = 1;
+    config.isolation.enabled = isolated;
+    // The deadline must comfortably exceed a healthy run's wall time (a
+    // few hundred ms here, a few seconds under sanitizers) while the
+    // 2-core attempt stalls well past it inside beforeRun — by the time
+    // that run reaches the simulator's first cancellation point (or its
+    // fork), the watchdog has long since fired. No tight timing on
+    // either side.
+    config.limits.wallSeconds = 3.0;
+    config.beforeRun = [](int cores, int /*attempt*/) {
+      if (cores == 2) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(4500));
+      }
+    };
+    const SweepResult sweep = runSweep(config);
+    EXPECT_FALSE(sweep.stopped);
+    ASSERT_EQ(sweep.failures.size(), 1u) << sweep.diagnostics();
+    EXPECT_EQ(sweep.failures[0].cores, 2);
+    EXPECT_EQ(sweep.failures[0].kind, RunFailureKind::kTimeout);
+    EXPECT_EQ(sweep.failures[0].attempts, 1);
+    EXPECT_EQ(sweep.pendingCoreCounts(), std::vector<int>{2});
+    EXPECT_EQ(sweep.profiles.size(), 3u);
+    EXPECT_NE(sweep.diagnostics().find("[timeout]"), std::string::npos)
+        << sweep.diagnostics();
+  }
 }
 
 TEST(SweepLifecycle, GracefulStopFlushesCheckpointAndResumes) {

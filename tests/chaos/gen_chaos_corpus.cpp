@@ -22,7 +22,7 @@
 #include "exec/chaos/chaos_transport.hpp"
 #include "exec/chaos/net_fault_plan.hpp"
 #include "exec/distributed/protocol.hpp"
-#include "exec/ipc.hpp"
+#include "exec/frame_transport.hpp"
 #include "serve/protocol.hpp"
 
 namespace {

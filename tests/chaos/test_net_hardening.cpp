@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/cancellation.hpp"
-#include "exec/ipc.hpp"
 #include "exec/distributed/coordinator.hpp"
 #include "exec/distributed/protocol.hpp"
 #include "exec/distributed/worker.hpp"

@@ -1,5 +1,6 @@
-// FrameReassembler and FdFrameTransport: the stream generalization of the
-// isolation pipe's CRC-32 frame codec that the distributed fleet speaks.
+// encodeFrame, FrameReassembler and FdFrameTransport: the one CRC-32
+// frame codec that isolated children, the distributed fleet and the
+// advisor service all speak.
 
 #include "exec/frame_transport.hpp"
 
@@ -14,8 +15,6 @@
 #include <cstddef>
 #include <string>
 #include <thread>
-
-#include "exec/ipc.hpp"
 
 namespace occm::exec {
 namespace {

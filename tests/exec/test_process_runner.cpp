@@ -1,15 +1,18 @@
-// Crash-containment tests for the process isolation runner: the IPC frame
-// codec round-trips a fully populated RunProfile bit-exactly and rejects
-// corrupt bytes with typed errors, and runInChild decodes every way a
-// child can end — clean profile, exception, signal death (SIGKILL /
-// SIGSEGV / abort), RLIMIT_AS exhaustion, supervisor kill — into a
-// structured ChildOutcome without ever crashing the parent.
+// Crash-containment tests for the process isolation runner: runInChild
+// ships a fully populated RunProfile back through the fork bit-exactly
+// and decodes every way a child can end — clean profile, exception,
+// abort, signal death (SIGKILL / SIGSEGV / abort), RLIMIT_AS exhaustion,
+// a clean exit without a result frame, supervisor kill — into the same
+// dist::TaskResult a fleet worker sends, without ever crashing the
+// parent. The frame and message codecs themselves are covered by
+// test_frame_transport and test_wire_protocol.
 //
 // Sanitizers change crash signatures (asan intercepts SIGSEGV and turns
 // it into a nonzero exit; RLIMIT_AS fights the shadow mappings), so
 // exact-signal assertions relax and the OOM test skips under them.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <csignal>
@@ -21,7 +24,6 @@
 #include <vector>
 
 #include "common/cancellation.hpp"
-#include "exec/ipc.hpp"
 #include "exec/process_runner.hpp"
 #include "fault/crash_injection.hpp"
 
@@ -140,82 +142,6 @@ void expectProfilesEq(const perf::RunProfile& a, const perf::RunProfile& b) {
   EXPECT_EQ(a.throttledCycles, b.throttledCycles);
 }
 
-TEST(IpcCodec, FrameRoundTripsArbitraryPayloads) {
-  for (const std::string& payload :
-       {std::string(), std::string("x"), std::string(1000, '\0'),
-        std::string("binary\x01\xff\n bytes")}) {
-    const std::string frame = encodeFrame(payload);
-    const auto back = decodeFrame(frame);
-    ASSERT_TRUE(back.hasValue()) << back.error().message();
-    EXPECT_EQ(*back, payload);
-  }
-}
-
-TEST(IpcCodec, FrameRejectsCorruptBytesWithTypedErrors) {
-  const std::string frame = encodeFrame("the payload");
-
-  // Truncation at every prefix length fails without UB.
-  for (std::size_t len = 0; len < frame.size(); ++len) {
-    const auto r = decodeFrame(frame.substr(0, len));
-    EXPECT_FALSE(r.hasValue()) << "prefix of " << len << " bytes";
-  }
-  // Trailing garbage is an error: the pipe carries exactly one frame.
-  EXPECT_FALSE(decodeFrame(frame + "x").hasValue());
-  // Bad magic.
-  std::string bad = frame;
-  bad[0] = 'X';
-  EXPECT_FALSE(decodeFrame(bad).hasValue());
-  // Flipped payload bit -> CRC mismatch, and the message names the crc.
-  bad = frame;
-  bad[9] = static_cast<char>(bad[9] ^ 0x01);
-  const auto r = decodeFrame(bad);
-  ASSERT_FALSE(r.hasValue());
-  EXPECT_NE(r.error().message().find("crc"), std::string::npos)
-      << r.error().message();
-}
-
-TEST(IpcCodec, ChildMessageRoundTripsFullProfile) {
-  ChildMessage message;
-  message.kind = ChildMessage::Kind::kProfile;
-  message.profile = sampleProfile();
-  const auto back = decodeChildMessage(encodeChildMessage(message));
-  ASSERT_TRUE(back.hasValue()) << back.error().message();
-  EXPECT_EQ(back->kind, ChildMessage::Kind::kProfile);
-  expectProfilesEq(back->profile, message.profile);
-}
-
-TEST(IpcCodec, ChildMessageRoundTripsExceptionAndAbort) {
-  ChildMessage error;
-  error.kind = ChildMessage::Kind::kException;
-  error.error = "what() with\nnewlines and \"quotes\"";
-  auto back = decodeChildMessage(encodeChildMessage(error));
-  ASSERT_TRUE(back.hasValue());
-  EXPECT_EQ(back->kind, ChildMessage::Kind::kException);
-  EXPECT_EQ(back->error, error.error);
-
-  ChildMessage aborted;
-  aborted.kind = ChildMessage::Kind::kAborted;
-  aborted.error = "budget blown";
-  aborted.abortReason = static_cast<std::uint8_t>(AbortReason::kCycleBudget);
-  aborted.abortCycle = 123'456'789ULL;
-  back = decodeChildMessage(encodeChildMessage(aborted));
-  ASSERT_TRUE(back.hasValue());
-  EXPECT_EQ(back->kind, ChildMessage::Kind::kAborted);
-  EXPECT_EQ(back->abortReason, aborted.abortReason);
-  EXPECT_EQ(back->abortCycle, aborted.abortCycle);
-}
-
-TEST(IpcCodec, ChildMessageRejectsTruncationEverywhere) {
-  ChildMessage message;
-  message.kind = ChildMessage::Kind::kProfile;
-  message.profile = sampleProfile();
-  const std::string payload = encodeChildMessage(message);
-  for (std::size_t len = 0; len < payload.size(); ++len) {
-    const auto r = decodeChildMessage(payload.substr(0, len));
-    EXPECT_FALSE(r.hasValue()) << "prefix of " << len << " bytes";
-  }
-}
-
 TEST(ProcessRunner, IsolationIsSupportedOnThisPlatform) {
   // The whole suite targets POSIX; if this fails, every skip below is
   // hiding a porting problem, so fail loudly instead.
@@ -223,71 +149,107 @@ TEST(ProcessRunner, IsolationIsSupportedOnThisPlatform) {
 }
 
 TEST(ProcessRunner, ShipsProfileBackBitExact) {
-  const ChildOutcome outcome =
+  const dist::TaskResult result =
       runInChild([] { return sampleProfile(); });
-  ASSERT_EQ(outcome.status, ChildStatus::kOk) << outcome.error;
-  expectProfilesEq(outcome.profile, sampleProfile());
-  EXPECT_EQ(outcome.signal, 0);
+  ASSERT_TRUE(result.hasProfile) << result.failure.error;
+  EXPECT_FALSE(result.hasFailure);
+  expectProfilesEq(result.profile, sampleProfile());
 }
 
 TEST(ProcessRunner, PropagatesExceptionsAsData) {
-  const ChildOutcome outcome = runInChild([]() -> perf::RunProfile {
+  const dist::TaskResult result = runInChild([]() -> perf::RunProfile {
     throw std::runtime_error("boom in the child");
   });
-  EXPECT_EQ(outcome.status, ChildStatus::kException);
-  EXPECT_NE(outcome.error.find("boom in the child"), std::string::npos);
+  ASSERT_TRUE(result.hasFailure);
+  EXPECT_FALSE(result.hasProfile);
+  EXPECT_EQ(result.failure.kind, dist::WireFailureKind::kException);
+  EXPECT_NE(result.failure.error.find("boom in the child"),
+            std::string::npos);
 }
 
 TEST(ProcessRunner, PropagatesRunAbortedAsData) {
-  const ChildOutcome outcome = runInChild([]() -> perf::RunProfile {
+  // A cycle-budget abort is the run overrunning its limit: kTimeout. Any
+  // other abort is a cancellation.
+  dist::TaskResult result = runInChild([]() -> perf::RunProfile {
     throw RunAborted(AbortReason::kCycleBudget, 4242, "over budget");
   });
-  EXPECT_EQ(outcome.status, ChildStatus::kAborted);
-  EXPECT_EQ(outcome.abortReason, AbortReason::kCycleBudget);
-  EXPECT_EQ(outcome.abortCycle, 4242u);
-  EXPECT_NE(outcome.error.find("over budget"), std::string::npos);
+  ASSERT_TRUE(result.hasFailure);
+  EXPECT_EQ(result.failure.kind, dist::WireFailureKind::kTimeout);
+  EXPECT_NE(result.failure.error.find("over budget"), std::string::npos);
+
+  result = runInChild([]() -> perf::RunProfile {
+    throw RunAborted(AbortReason::kCancelled, 7, "stop requested");
+  });
+  ASSERT_TRUE(result.hasFailure);
+  EXPECT_EQ(result.failure.kind, dist::WireFailureKind::kCancelled);
+  EXPECT_NE(result.failure.error.find("stop requested"), std::string::npos);
 }
 
 TEST(ProcessRunner, ReportsSigkillDeath) {
   // SIGKILL cannot be caught by any runtime (sanitizers included), so the
   // expectation holds everywhere.
-  const ChildOutcome outcome = runInChild([]() -> perf::RunProfile {
+  const dist::TaskResult result = runInChild([]() -> perf::RunProfile {
     std::raise(SIGKILL);
     return {};
   });
-  EXPECT_EQ(outcome.status, ChildStatus::kCrash);
-  EXPECT_EQ(outcome.signal, SIGKILL);
-  EXPECT_TRUE(outcome.rlimit.empty()) << outcome.rlimit;
-  EXPECT_NE(outcome.error.find("SIGKILL"), std::string::npos)
-      << outcome.error;
+  ASSERT_TRUE(result.hasFailure);
+  EXPECT_EQ(result.failure.kind, dist::WireFailureKind::kCrash);
+  EXPECT_EQ(result.failure.signal, SIGKILL);
+  EXPECT_TRUE(result.failure.rlimit.empty()) << result.failure.rlimit;
+  EXPECT_NE(result.failure.error.find("SIGKILL"), std::string::npos)
+      << result.failure.error;
 }
 
 TEST(ProcessRunner, ReportsSegfaultDeath) {
-  const ChildOutcome outcome = runInChild([]() -> perf::RunProfile {
+  const dist::TaskResult result = runInChild([]() -> perf::RunProfile {
     // Through a volatile so no compiler proves (and rejects) the trap.
     volatile int* target = nullptr;
     *target = 42;
     return {};
   });
-  EXPECT_EQ(outcome.status, ChildStatus::kCrash) << outcome.error;
+  ASSERT_TRUE(result.hasFailure);
+  EXPECT_EQ(result.failure.kind, dist::WireFailureKind::kCrash)
+      << result.failure.error;
 #if !OCCM_UNDER_SANITIZER
-  EXPECT_EQ(outcome.signal, SIGSEGV) << outcome.error;
+  EXPECT_EQ(result.failure.signal, SIGSEGV) << result.failure.error;
 #endif
 }
 
 TEST(ProcessRunner, ReportsAbortDeath) {
-  const ChildOutcome outcome = runInChild([]() -> perf::RunProfile {
+  const dist::TaskResult result = runInChild([]() -> perf::RunProfile {
     std::fprintf(stderr, "dying on purpose\n");
     std::abort();
   });
-  EXPECT_EQ(outcome.status, ChildStatus::kCrash);
+  ASSERT_TRUE(result.hasFailure);
+  EXPECT_EQ(result.failure.kind, dist::WireFailureKind::kCrash);
 #if !OCCM_UNDER_SANITIZER
-  EXPECT_EQ(outcome.signal, SIGABRT) << outcome.error;
+  EXPECT_EQ(result.failure.signal, SIGABRT) << result.failure.error;
 #endif
   // abort() without the OOM marker must not read as a memory-budget kill.
-  EXPECT_TRUE(outcome.rlimit.empty()) << outcome.rlimit;
-  EXPECT_NE(outcome.stderrTail.find("dying on purpose"), std::string::npos)
-      << outcome.stderrTail;
+  EXPECT_TRUE(result.failure.rlimit.empty()) << result.failure.rlimit;
+  EXPECT_NE(result.failure.stderrTail.find("dying on purpose"),
+            std::string::npos)
+      << result.failure.stderrTail;
+}
+
+TEST(ProcessRunner, FramelessCleanExitIsACrash) {
+  // A child that exits 0 without writing its result frame lies about
+  // success: the supervisor must report a crash, never trust the exit.
+  const dist::TaskResult result = runInChild([]() -> perf::RunProfile {
+    std::fprintf(stderr, "leaving without a word\n");
+    std::fflush(stderr);
+    ::_exit(0);
+  });
+  ASSERT_TRUE(result.hasFailure);
+  EXPECT_FALSE(result.hasProfile);
+  EXPECT_EQ(result.failure.kind, dist::WireFailureKind::kCrash)
+      << result.failure.error;
+  EXPECT_EQ(result.failure.signal, 0);
+  EXPECT_NE(result.failure.error.find("exited cleanly"), std::string::npos)
+      << result.failure.error;
+  EXPECT_NE(result.failure.stderrTail.find("leaving without a word"),
+            std::string::npos)
+      << result.failure.stderrTail;
 }
 
 TEST(ProcessRunner, MemoryBudgetDeathIsClassifiedAsAddressSpace) {
@@ -296,7 +258,7 @@ TEST(ProcessRunner, MemoryBudgetDeathIsClassifiedAsAddressSpace) {
 #else
   ProcessRunnerConfig config;
   config.limits.memoryBytes = std::uint64_t{256} << 20;
-  const ChildOutcome outcome = runInChild(
+  const dist::TaskResult result = runInChild(
       []() -> perf::RunProfile {
         // Touch every allocation so the address space genuinely fills.
         std::vector<char*> hoard;
@@ -307,18 +269,20 @@ TEST(ProcessRunner, MemoryBudgetDeathIsClassifiedAsAddressSpace) {
         }
       },
       config);
-  EXPECT_EQ(outcome.status, ChildStatus::kCrash) << outcome.error;
-  EXPECT_EQ(outcome.rlimit, "address-space") << outcome.error;
-  EXPECT_NE(outcome.stderrTail.find(fault::kOutOfMemoryMarker),
+  ASSERT_TRUE(result.hasFailure);
+  EXPECT_EQ(result.failure.kind, dist::WireFailureKind::kCrash)
+      << result.failure.error;
+  EXPECT_EQ(result.failure.rlimit, "address-space") << result.failure.error;
+  EXPECT_NE(result.failure.stderrTail.find(fault::kOutOfMemoryMarker),
             std::string::npos)
-      << outcome.stderrTail;
+      << result.failure.stderrTail;
 #endif
 }
 
 TEST(ProcessRunner, StderrTailKeepsLastBytesSanitized) {
   ProcessRunnerConfig config;
   config.stderrTailBytes = 64;
-  const ChildOutcome outcome = runInChild(
+  const dist::TaskResult result = runInChild(
       []() -> perf::RunProfile {
         for (int i = 0; i < 1000; ++i) {
           std::fprintf(stderr, "line %04d\n", i);
@@ -328,16 +292,16 @@ TEST(ProcessRunner, StderrTailKeepsLastBytesSanitized) {
         std::abort();
       },
       config);
-  EXPECT_EQ(outcome.status, ChildStatus::kCrash);
-  EXPECT_LE(outcome.stderrTail.size(), 64u);
+  ASSERT_TRUE(result.hasFailure);
+  EXPECT_EQ(result.failure.kind, dist::WireFailureKind::kCrash);
+  const std::string& tail = result.failure.stderrTail;
+  EXPECT_LE(tail.size(), 64u);
   // The tail keeps the *last* bytes written...
-  EXPECT_NE(outcome.stderrTail.find("the final words"), std::string::npos)
-      << outcome.stderrTail;
+  EXPECT_NE(tail.find("the final words"), std::string::npos) << tail;
   // ...not the first, and control bytes arrive sanitized to '.'.
-  EXPECT_EQ(outcome.stderrTail.find("line 0000"), std::string::npos);
-  EXPECT_EQ(outcome.stderrTail.find('\x01'), std::string::npos);
-  EXPECT_NE(outcome.stderrTail.find(". the final words"), std::string::npos)
-      << outcome.stderrTail;
+  EXPECT_EQ(tail.find("line 0000"), std::string::npos);
+  EXPECT_EQ(tail.find('\x01'), std::string::npos);
+  EXPECT_NE(tail.find(". the final words"), std::string::npos) << tail;
 }
 
 TEST(ProcessRunner, SupervisorKillsChildWhenTokenFires) {
@@ -348,7 +312,7 @@ TEST(ProcessRunner, SupervisorKillsChildWhenTokenFires) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     stop.requestStop();
   });
-  const ChildOutcome outcome = runInChild(
+  const dist::TaskResult result = runInChild(
       []() -> perf::RunProfile {
         // Without the supervisor's SIGKILL this child would outlive any
         // reasonable test timeout.
@@ -357,8 +321,14 @@ TEST(ProcessRunner, SupervisorKillsChildWhenTokenFires) {
       },
       config);
   trigger.join();
-  EXPECT_EQ(outcome.status, ChildStatus::kKilled) << outcome.error;
-  EXPECT_EQ(outcome.signal, SIGKILL);
+  ASSERT_TRUE(result.hasFailure);
+  // The supervisor's own kill is a cancellation, not a crash: the caller
+  // decides whether a deadline made it a timeout, and a cancellation
+  // carries no crash evidence.
+  EXPECT_EQ(result.failure.kind, dist::WireFailureKind::kCancelled)
+      << result.failure.error;
+  EXPECT_EQ(result.failure.signal, 0);
+  EXPECT_TRUE(result.failure.stderrTail.empty());
 }
 
 }  // namespace
