@@ -73,7 +73,24 @@ inline topology::MachineSpec goldenPreset(const std::string& name) {
   if (name == "testNuma4") {
     return topology::testNuma4();
   }
+  if (name == "intelNuma24") {
+    return topology::intelNuma24();
+  }
+  if (name == "amdNuma48") {
+    return topology::amdNuma48();
+  }
   throw ContractViolation("unknown golden topology preset: " + name);
+}
+
+/// Active-core counts a point sweeps. The 4-core test machines run
+/// {1, 2, 4}; a paper machine runs {1, 13, all}: 13 is where the paper's
+/// machines activate another controller, and the full machine is the only
+/// point with every core (and every controller) busy.
+inline std::vector<int> goldenCoreCounts(const std::string& topology) {
+  if (topology == "testUma4" || topology == "testNuma4") {
+    return {1, 2, 4};
+  }
+  return {1, 13, goldenPreset(topology).logicalCores()};
 }
 
 /// The standard fault plan of the `faults=plan` points: one degraded
@@ -92,7 +109,11 @@ inline fault::FaultPlan goldenFaultPlan() {
 /// The grid: fast workloads crossed with both test machines, ±faults,
 /// serial and pool-of-2 execution. CG.S (the slowest cell by an order of
 /// magnitude) runs fault-free only, keeping the full corpus replayable
-/// in tier-1 and sanitizer legs.
+/// in tier-1 and sanitizer legs. One cheap fault-free SP point per NUMA
+/// paper machine follows: the only points with more than 4 cores, 8
+/// controllers with two hop classes (amdNuma48) and a coherence
+/// directory spanning several pages (SP.A writes ~7 pages of shared
+/// lines across sockets).
 inline std::vector<GoldenPoint> goldenGrid() {
   std::vector<GoldenPoint> grid;
   const std::vector<std::pair<workloads::Program, workloads::ProblemClass>>
@@ -116,6 +137,12 @@ inline std::vector<GoldenPoint> goldenGrid() {
            /*faults=*/false, pool});
     }
   }
+  for (const int pool : {1, 2}) {
+    grid.push_back({workloads::Program::kSP, workloads::ProblemClass::kA,
+                    "amdNuma48", /*faults=*/false, pool});
+  }
+  grid.push_back({workloads::Program::kSP, workloads::ProblemClass::kW,
+                  "intelNuma24", /*faults=*/false, /*poolSize=*/1});
   return grid;
 }
 
@@ -126,7 +153,7 @@ inline GoldenRecord replayGoldenPoint(const GoldenPoint& point) {
   config.machine = goldenPreset(point.topology);
   config.workload.program = point.program;
   config.workload.problemClass = point.problemClass;
-  config.coreCounts = {1, 2, 4};
+  config.coreCounts = goldenCoreCounts(point.topology);
   config.parallel.workers = point.poolSize;
   if (point.faults) {
     config.sim.faultPlan = goldenFaultPlan();
