@@ -286,6 +286,9 @@ perf::RunProfile runOnce(const topology::MachineSpec& machine,
 }
 
 SweepResult runSweep(const SweepConfig& config) {
+  // A machine the simulator cannot build would otherwise fail every
+  // attempt, each after building the workload.
+  config.machine.validate();
   workloads::WorkloadSpec spec = config.workload;
   if (spec.threads <= 0) {
     spec.threads = config.machine.logicalCores();

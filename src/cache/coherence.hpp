@@ -12,18 +12,21 @@
 // behind the paper's EP observation: LLC misses grow from ~2e3 to ~3e7 as
 // active cores increase, driven by false sharing of result lines.
 //
-// Storage (DESIGN.md §14): a flat open-addressing table (linear probing,
-// backward-shift deletion, power-of-two capacity) instead of
-// std::unordered_map — the directory is probed on every shared access
-// and the node-per-entry map was a visible fraction of the whole
-// simulation. The sharer set is exposed as a bitmask so the hierarchy
-// can walk victims with countr_zero instead of allocating a vector; the
-// vector API remains as a thin wrapper. All counters and invalidation
-// orders are identical to the map-based implementation (pinned by the
-// golden corpus).
+// Storage (DESIGN.md §14): a dense table indexed by line number (the
+// caller passes addr >> log2(lineSize), so the directory knows nothing of
+// line sizes), split into pages of 4096 16-byte entries that are
+// allocated on first touch. Workloads allocate shared data upward from
+// address 0, so the pages cover the shared footprint, and a line's entry
+// sits next to its neighbours': sequential and strided sweeps touch
+// consecutive host memory. An entry never touched reads as no sharers,
+// no owner, clean, so allocating a page changes no answer. The sharer
+// set is a bitmask so the hierarchy walks victims with countr_zero. All
+// counters and invalidation orders are pinned by the golden corpus.
 
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/error.hpp"
@@ -43,33 +46,27 @@ class CoherenceDirectory {
   explicit CoherenceDirectory(int cores) : cores_(cores) {
     OCCM_REQUIRE_MSG(cores >= 1 && cores <= 64,
                      "directory supports 1..64 cores");
-    slots_.resize(kInitialCapacity);
   }
 
   /// Opaque handle to one shared line's directory state, valid until the
-  /// next beginAccess/onAccess/onEviction/clear call. Lets the hierarchy
-  /// pay ONE table probe per shared access: beginAccess answers the
-  /// pre-lookup invalidation question, the handle carries the entry to
-  /// commitAccess after the cache fills.
+  /// next beginAccess/onAccess/clear call. Lets the hierarchy pay ONE
+  /// table lookup per shared access: beginAccess answers the pre-lookup
+  /// invalidation question, the handle carries the entry to commitAccess
+  /// after the cache fills.
   struct AccessHandle {
     void* entry = nullptr;
     /// Owner whose remote write invalidated this core's copy, or -1 —
-    /// exactly invalidatingOwner(lineAddr, core), minus the extra probe.
+    /// exactly what isInvalidatedFor + ownerOf would report.
     CoreId invalidatingOwner = -1;
   };
 
-  /// First half of an access: locates (or creates) the line's entry and
-  /// reports whether `core`'s copy was invalidated by a remote write.
-  [[nodiscard]] AccessHandle beginAccess(Addr lineAddr, CoreId core) {
+  /// First half of an access to line number `line`: locates the line's
+  /// entry (allocating its page on first touch) and reports whether
+  /// `core`'s copy was invalidated by a remote write.
+  [[nodiscard]] AccessHandle beginAccess(Addr line, CoreId core) {
     OCCM_ASSERT(core >= 0 && core < cores_);
-    Slot& entry = findOrInsert(lineAddr);
-    AccessHandle handle;
-    handle.entry = &entry;
-    if (entry.owner >= 0 && entry.owner != core &&
-        ((entry.sharers >> core) & 1) == 0) {
-      handle.invalidatingOwner = entry.owner;
-    }
-    return handle;
+    Entry& entry = entryFor(line);
+    return {&entry, invalidatingOwner(entry, core)};
   }
 
   /// Second half: applies the access to the entry found by beginAccess
@@ -77,7 +74,7 @@ class CoherenceDirectory {
   /// (0 for reads and for writes with no other sharer).
   std::uint64_t commitAccess(const AccessHandle& handle, CoreId core,
                              bool write) {
-    Slot& entry = *static_cast<Slot*>(handle.entry);
+    Entry& entry = *static_cast<Entry*>(handle.entry);
     const std::uint64_t bit = std::uint64_t{1} << core;
     std::uint64_t toInvalidate = 0;
     if (write) {
@@ -102,22 +99,10 @@ class CoherenceDirectory {
     return toInvalidate;
   }
 
-  /// One-shot probe-and-update. Returns the bitmask of cores whose
-  /// copies must be invalidated (0 for reads and for writes with no
-  /// other sharer).
-  std::uint64_t onAccessMask(Addr lineAddr, CoreId core, bool write) {
-    return commitAccess(beginAccess(lineAddr, core), core, write);
-  }
-
-  /// As onAccessMask, expanded to a core list in ascending order.
-  std::vector<CoreId> onAccess(Addr lineAddr, CoreId core, bool write) {
-    std::uint64_t mask = onAccessMask(lineAddr, core, write);
-    std::vector<CoreId> toInvalidate;
-    while (mask != 0) {
-      toInvalidate.push_back(std::countr_zero(mask));
-      mask &= mask - 1;
-    }
-    return toInvalidate;
+  /// One-shot begin + commit. Returns the bitmask of cores whose copies
+  /// must be invalidated.
+  std::uint64_t onAccess(Addr line, CoreId core, bool write) {
+    return commitAccess(beginAccess(line, core), core, write);
   }
 
   /// True when `core` lost its copy of the line to a remote write since it
@@ -126,163 +111,67 @@ class CoherenceDirectory {
   /// (e.g. the socket LLC when writer and reader are on one socket), so
   /// within-socket false sharing is a cheap LLC hit while cross-socket
   /// false sharing goes off-chip.
-  [[nodiscard]] bool isInvalidatedFor(Addr lineAddr, CoreId core) const {
-    const Slot* entry = find(lineAddr);
-    if (entry == nullptr) {
-      return false;
-    }
-    // Only a write creates invalid copies: read-shared lines (owner -1)
-    // coexist in any number of caches.
-    return entry->owner >= 0 && entry->owner != core &&
-           ((entry->sharers >> core) & 1) == 0;
+  [[nodiscard]] bool isInvalidatedFor(Addr line, CoreId core) const {
+    return invalidatingOwner(peek(line), core) >= 0;
   }
 
   /// Core that most recently wrote the line, or -1.
-  [[nodiscard]] CoreId ownerOf(Addr lineAddr) const {
-    const Slot* entry = find(lineAddr);
-    return entry == nullptr ? -1 : entry->owner;
-  }
-
-  /// Single-probe combination of isInvalidatedFor + ownerOf for the
-  /// hierarchy's hot path: the owner whose remote write invalidated
-  /// `core`'s copy, or -1 when the copy is still good (or untracked).
-  [[nodiscard]] CoreId invalidatingOwner(Addr lineAddr,
-                                         CoreId core) const {
-    const Slot* entry = find(lineAddr);
-    if (entry == nullptr || entry->owner < 0 || entry->owner == core ||
-        ((entry->sharers >> core) & 1) != 0) {
-      return -1;
-    }
-    return entry->owner;
-  }
-
-  /// Removes a core's sharing bit (e.g. natural eviction).
-  void onEviction(Addr lineAddr, CoreId core) {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hashOf(lineAddr) & mask;
-    while (true) {
-      Slot& slot = slots_[i];
-      if (slot.key == kEmptyKey) {
-        return;
-      }
-      if (slot.key == lineAddr) {
-        slot.sharers &= ~(std::uint64_t{1} << core);
-        if (slot.sharers == 0) {
-          eraseAt(i);
-        }
-        return;
-      }
-      i = (i + 1) & mask;
-    }
-  }
+  [[nodiscard]] CoreId ownerOf(Addr line) const { return peek(line).owner; }
 
   [[nodiscard]] const CoherenceStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] std::size_t trackedLines() const noexcept { return size_; }
 
+  /// Forgets every line (releasing the pages) and zeroes the stats.
   void clear() {
-    slots_.assign(slots_.size(), Slot{});
-    size_ = 0;
+    pages_.clear();
     stats_ = {};
   }
 
  private:
-  /// One open-addressing slot. No real line address is 2^64 - 1 (the
-  /// address space tops out near 2^41), so it doubles as the empty key.
-  static constexpr Addr kEmptyKey = ~Addr{0};
-  static constexpr std::size_t kInitialCapacity = 1024;
-
-  struct Slot {
-    Addr key = kEmptyKey;
+  struct Entry {
     std::uint64_t sharers = 0;
     CoreId owner = -1;
     bool modified = false;
   };
+  static_assert(sizeof(Entry) == 16);
 
-  static std::uint64_t hashOf(Addr key) noexcept {
-    // SplitMix64 finalizer: full-avalanche, two multiplies.
-    std::uint64_t x = key + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
+  /// The owner whose remote write invalidated `core`'s copy, or -1. Only
+  /// a write creates invalid copies: read-shared lines (owner -1) coexist
+  /// in any number of caches.
+  static CoreId invalidatingOwner(const Entry& entry, CoreId core) {
+    const bool invalidated = entry.owner >= 0 && entry.owner != core &&
+                             ((entry.sharers >> core) & 1) == 0;
+    return invalidated ? entry.owner : -1;
   }
 
-  [[nodiscard]] const Slot* find(Addr key) const noexcept {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hashOf(key) & mask;
-    while (true) {
-      const Slot& slot = slots_[i];
-      if (slot.key == key) {
-        return &slot;
-      }
-      if (slot.key == kEmptyKey) {
-        return nullptr;
-      }
-      i = (i + 1) & mask;
+  static constexpr unsigned kPageShift = 12;
+  static constexpr Addr kPageMask = (Addr{1} << kPageShift) - 1;
+  using Page = std::array<Entry, std::size_t{1} << kPageShift>;
+
+  Entry& entryFor(Addr line) {
+    const auto page = static_cast<std::size_t>(line >> kPageShift);
+    if (page >= pages_.size()) {
+      pages_.resize(page + 1);
     }
+    std::unique_ptr<Page>& slot = pages_[page];
+    if (!slot) {
+      slot = std::make_unique<Page>();
+    }
+    return (*slot)[line & kPageMask];
   }
 
-  Slot& findOrInsert(Addr key) {
-    if ((size_ + 1) * 8 > slots_.size() * 7) {
-      grow();
+  /// A copy of the line's entry, or an untouched one when its page was
+  /// never allocated; never allocates.
+  [[nodiscard]] Entry peek(Addr line) const {
+    const auto page = static_cast<std::size_t>(line >> kPageShift);
+    if (page >= pages_.size() || !pages_[page]) {
+      return Entry{};
     }
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hashOf(key) & mask;
-    while (true) {
-      Slot& slot = slots_[i];
-      if (slot.key == key) {
-        return slot;
-      }
-      if (slot.key == kEmptyKey) {
-        slot.key = key;
-        ++size_;
-        return slot;
-      }
-      i = (i + 1) & mask;
-    }
-  }
-
-  /// Backward-shift deletion: keeps probe chains gap-free without
-  /// tombstones, so probe lengths never degrade over a run.
-  void eraseAt(std::size_t hole) {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hole;
-    while (true) {
-      i = (i + 1) & mask;
-      const Slot& candidate = slots_[i];
-      if (candidate.key == kEmptyKey) {
-        break;
-      }
-      const std::size_t ideal = hashOf(candidate.key) & mask;
-      // Move the candidate into the hole only if its probe chain spans
-      // the hole (i.e. the hole lies between its ideal slot and it).
-      if (((i - ideal) & mask) >= ((i - hole) & mask)) {
-        slots_[hole] = candidate;
-        hole = i;
-      }
-    }
-    slots_[hole] = Slot{};
-    --size_;
-  }
-
-  void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.size() * 2, Slot{});
-    const std::size_t mask = slots_.size() - 1;
-    for (const Slot& slot : old) {
-      if (slot.key == kEmptyKey) {
-        continue;
-      }
-      std::size_t i = hashOf(slot.key) & mask;
-      while (slots_[i].key != kEmptyKey) {
-        i = (i + 1) & mask;
-      }
-      slots_[i] = slot;
-    }
+    return (*pages_[page])[line & kPageMask];
   }
 
   int cores_;
-  std::vector<Slot> slots_;
-  std::size_t size_ = 0;
+  /// Page p holds lines [p * 4096, (p + 1) * 4096); null until touched.
+  std::vector<std::unique_ptr<Page>> pages_;
   CoherenceStats stats_;
 };
 

@@ -1,5 +1,7 @@
 #include "cache/hierarchy.hpp"
 
+#include <bit>
+
 #include "common/error.hpp"
 
 namespace occm::cache {
@@ -8,6 +10,7 @@ CacheHierarchy::CacheHierarchy(const topology::TopologyMap& topo)
     : topo_(topo), directory_(topo.spec().logicalCores()) {
   const auto& spec = topo.spec();
   lineSize_ = spec.caches.front().lineSize;
+  lineShift_ = std::countr_zero(lineSize_);
   levels_.reserve(spec.caches.size());
   for (const auto& levelSpec : spec.caches) {
     Level level;

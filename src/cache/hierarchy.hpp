@@ -84,6 +84,9 @@ class CacheHierarchy {
   std::vector<Level> levels_;
   CoherenceDirectory directory_;
   Bytes lineSize_;
+  /// log2(lineSize_): addr >> lineShift_ is the line number the directory
+  /// indexes by.
+  int lineShift_;
   /// Each core's cache instances, [core * levels + levelIdx] — one load
   /// per level on the access path instead of an index table plus an
   /// instance-vector dereference. Two cores share a level's instance iff
@@ -102,6 +105,7 @@ inline AccessResult CacheHierarchy::access(CoreId core, Addr addr,
                                            bool write) {
   AccessResult result;
   const Addr line = addr & ~(lineSize_ - 1);
+  const Addr lineNumber = addr >> lineShift_;
   const bool shared = trace::AddressSpace::isShared(addr);
   const std::size_t nLevels = levels_.size();
   SetAssocCache* const* path =
@@ -109,13 +113,13 @@ inline AccessResult CacheHierarchy::access(CoreId core, Addr addr,
 
   // beginAccess folds the presence and owner probes into ONE table lookup
   // and hands back the entry so the post-fill update (commitAccess) needs
-  // no second probe. It reports a core in exactly the cases the old
-  // isInvalidatedFor + ownerOf pair reported invalidation. Creating the
+  // no second lookup. It reports a core in exactly the cases the
+  // isInvalidatedFor + ownerOf pair reports invalidation. Touching the
   // entry before the cache walk instead of after is unobservable: nothing
   // between here and commitAccess touches the directory.
   CoherenceDirectory::AccessHandle handle;
   if (shared) {
-    handle = directory_.beginAccess(line, core);
+    handle = directory_.beginAccess(lineNumber, core);
   }
   const CoreId owner = handle.invalidatingOwner;
   const bool invalidated = owner >= 0;
@@ -174,8 +178,8 @@ inline AccessResult CacheHierarchy::access(CoreId core, Addr addr,
     std::uint64_t victims = directory_.commitAccess(handle, core, write);
     if (victims != 0) {
       result.latency += kUpgradeCycles;
-      // Walk victim cores in ascending order (the order the vector API
-      // produced) straight off the sharer bitmask — no allocation.
+      // Walk victim cores in ascending order straight off the sharer
+      // bitmask — no allocation.
       do {
         const CoreId victim = std::countr_zero(victims);
         victims &= victims - 1;

@@ -21,6 +21,8 @@ void MachineSpec::validate() const {
   OCCM_REQUIRE_MSG(sockets >= 1 && diesPerSocket >= 1 && coresPerDie >= 1 &&
                        smtPerCore >= 1,
                    "hierarchy counts must be >= 1");
+  // The coherence directory keeps one sharer bit per logical core.
+  OCCM_REQUIRE_MSG(logicalCores() <= 64, "directory supports 1..64 cores");
   OCCM_REQUIRE_MSG(!caches.empty(), "machine needs at least one cache level");
   OCCM_REQUIRE_MSG(channelsPerController >= 1, "need at least one channel");
   OCCM_REQUIRE_MSG(rowHitServiceCycles > 0, "row-hit service must be > 0");
@@ -43,6 +45,8 @@ void MachineSpec::validate() const {
                      "line size must be a power of two");
     OCCM_REQUIRE_MSG(c.size % c.lineSize == 0, "size must be a line multiple");
     OCCM_REQUIRE_MSG(c.associativity >= 1, "associativity must be >= 1");
+    OCCM_REQUIRE_MSG(c.associativity <= 32,
+                     "dirty bitmask supports up to 32 ways");
     OCCM_REQUIRE_MSG((c.size / c.lineSize) % c.associativity == 0,
                      "lines must divide into whole sets");
     OCCM_REQUIRE_MSG(c.lineSize == caches.front().lineSize,

@@ -56,6 +56,22 @@ TEST(RunSweep, ExplicitCoreCounts) {
   EXPECT_THROW((void)sweep.at(2), ContractViolation);
 }
 
+TEST(RunSweep, UnsimulatableMachineFailsBeforeAnyAttempt) {
+  // 68 logical cores: more than the coherence directory can track. The
+  // spec is refused up front instead of failing every attempt after the
+  // workload was built.
+  SweepConfig config;
+  config.machine = topology::intelNuma24();
+  config.machine.coresPerDie = 17;
+  config.workload.program = workloads::Program::kEP;
+  config.workload.problemClass = workloads::ProblemClass::kS;
+  config.coreCounts = {1, 2, 3};
+  int attempts = 0;
+  config.beforeRun = [&attempts](int, int) { ++attempts; };
+  EXPECT_THROW((void)runSweep(config), ContractViolation);
+  EXPECT_EQ(attempts, 0);
+}
+
 TEST(RunSweep, MissingRunDiagnosisNamesWhatIsPresent) {
   SweepConfig config = smallConfig();
   config.coreCounts = {1, 3};

@@ -121,5 +121,23 @@ TEST(MachineSpecValidate, RejectsCacheSizeNotLineMultiple) {
   EXPECT_THROW((void)m.validate(), ContractViolation);
 }
 
+TEST(MachineSpecValidate, RejectsMoreCoresThanTheDirectoryTracks) {
+  MachineSpec m = intelNuma24();
+  m.coresPerDie = 17;  // 2 sockets x 17 cores x 2 SMT = 68 logical cores
+  EXPECT_THROW((void)m.validate(), ContractViolation);
+  m.coresPerDie = 16;  // 64: the sharer bitmask's limit
+  EXPECT_NO_THROW((void)m.validate());
+}
+
+TEST(MachineSpecValidate, RejectsMoreWaysThanTheCacheModels) {
+  MachineSpec m = testNuma4();
+  m.caches[0].associativity = 33;
+  m.caches[0].size = 33 * 64 * 4;  // whole sets, so only the ways check fails
+  EXPECT_THROW((void)m.validate(), ContractViolation);
+  m.caches[0].associativity = 32;
+  m.caches[0].size = 32 * 64 * 4;
+  EXPECT_NO_THROW((void)m.validate());
+}
+
 }  // namespace
 }  // namespace occm::topology
