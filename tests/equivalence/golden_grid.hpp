@@ -73,6 +73,9 @@ inline topology::MachineSpec goldenPreset(const std::string& name) {
   if (name == "testNuma4") {
     return topology::testNuma4();
   }
+  if (name == "intelUma8") {
+    return topology::intelUma8();
+  }
   if (name == "intelNuma24") {
     return topology::intelNuma24();
   }
@@ -83,12 +86,16 @@ inline topology::MachineSpec goldenPreset(const std::string& name) {
 }
 
 /// Active-core counts a point sweeps. The 4-core test machines run
-/// {1, 2, 4}; a paper machine runs {1, 13, all}: 13 is where the paper's
-/// machines activate another controller, and the full machine is the only
-/// point with every core (and every controller) busy.
+/// {1, 2, 4}; intelUma8 runs {1, 5, 8}: 5 is the first count that reaches
+/// the second socket's front-side bus and L2. A NUMA paper machine runs
+/// {1, 13, all}: 13 is where it activates another controller. The full
+/// machine is the only point with every core (and every controller) busy.
 inline std::vector<int> goldenCoreCounts(const std::string& topology) {
   if (topology == "testUma4" || topology == "testNuma4") {
     return {1, 2, 4};
+  }
+  if (topology == "intelUma8") {
+    return {1, 5, 8};
   }
   return {1, 13, goldenPreset(topology).logicalCores()};
 }
@@ -143,6 +150,8 @@ inline std::vector<GoldenPoint> goldenGrid() {
   }
   grid.push_back({workloads::Program::kSP, workloads::ProblemClass::kW,
                   "intelNuma24", /*faults=*/false, /*poolSize=*/1});
+  grid.push_back({workloads::Program::kSP, workloads::ProblemClass::kW,
+                  "intelUma8", /*faults=*/false, /*poolSize=*/1});
   return grid;
 }
 
