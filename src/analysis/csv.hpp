@@ -1,17 +1,14 @@
 #pragma once
 
-// CSV export of sweep results and figure data, so the bench harnesses'
-// tables can be re-plotted (gnuplot/matplotlib) without re-running the
-// experiments — plus a hardened loader for the sweep table, so exported
-// results can be re-ingested (diffed, re-fit) without trusting the bytes.
+// CSV export of a sweep's Figure-3 table and of windowed metrics, so
+// results can be re-plotted (gnuplot/matplotlib) without re-running the
+// experiments. The sweep table is also the byte string the golden corpus
+// and BENCH fingerprints take their CRC-32 of.
 
 #include <string>
 #include <vector>
 
 #include "analysis/experiment.hpp"
-#include "common/expected.hpp"
-#include "core/burstiness.hpp"
-#include "core/contention_model.hpp"
 #include "obs/metric_registry.hpp"
 
 namespace occm::analysis {
@@ -23,61 +20,12 @@ namespace occm::analysis {
 /// (total/stall/work cycles, LLC misses, coherence misses, omega).
 [[nodiscard]] std::string sweepToCsv(const SweepResult& sweep);
 
-/// Validation report -> CSV: cores, measured/predicted cycles and omega,
-/// relative error (the Figure-5/6 series).
-[[nodiscard]] std::string validationToCsv(const model::ValidationReport& report);
-
-/// Burstiness CCDF -> CSV: x, P(BurstSize > x) (the Figure-4 series).
-[[nodiscard]] std::string ccdfToCsv(const model::BurstinessReport& report);
-
 /// Metric registry -> tidy ("long") CSV time series: one row per
 /// (window, metric) with the window's start in cycles and nanoseconds
 /// (at `clockGhz`), the metric name/unit and the windowed value. Tidy
 /// layout keeps the export schema stable as metrics come and go.
 [[nodiscard]] std::string metricsToCsv(const obs::MetricRegistry& metrics,
                                        double clockGhz);
-
-/// Sweep failure records -> CSV: one row per RunFailure with its
-/// lifecycle kind (exception/timeout/cancelled), so aborted runs are
-/// visible in the same export pipeline as the completed ones.
-[[nodiscard]] std::string failuresToCsv(const SweepResult& sweep);
-
-/// End-of-sweep ThreadPool telemetry -> tidy CSV: one (scope, metric,
-/// value) row per statistic — pool-wide rows (scope "pool": submitted,
-/// submit_block_ns, max_queue_depth) then per-worker rows (scope
-/// "worker0"...: tasks, busy_ns, queue_wait_ns). Header-only when the
-/// sweep ran serially or the observability layer is compiled out. Values
-/// are host-time: do not fingerprint them.
-[[nodiscard]] std::string poolStatsToCsv(const exec::ThreadPoolStats& stats);
-
-/// Why a sweep CSV could not be re-ingested.
-struct CsvError {
-  std::size_t line = 0;  ///< 1-based line of the first deviation
-  std::string detail;
-
-  /// "corrupt sweep csv at line 3: expected 9 fields, got 7"
-  [[nodiscard]] std::string message() const;
-};
-
-/// One re-ingested sweepToCsv row.
-struct SweepCsvRow {
-  int cores = 0;
-  double totalCycles = 0.0;
-  double stallCycles = 0.0;
-  double workCycles = 0.0;
-  double llcMisses = 0.0;
-  double coherenceMisses = 0.0;
-  double writebacks = 0.0;
-  double makespan = 0.0;
-  double omega = 0.0;
-};
-
-/// Parses what sweepToCsv produced. Validates shape strictly — exact
-/// header, exact column count, numeric fields, cores >= 1, finite
-/// non-negative cycle counts — and returns a typed CsvError naming the
-/// first bad line; never throws or crashes on arbitrary bytes.
-[[nodiscard]] Expected<std::vector<SweepCsvRow>, CsvError> parseSweepCsv(
-    const std::string& text);
 
 /// Writes text to a file; throws ContractViolation on I/O failure.
 void writeFile(const std::string& path, const std::string& contents);

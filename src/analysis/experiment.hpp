@@ -92,11 +92,6 @@ struct DistributedStats {
   bool degradedToLocal = false;
   /// Lease-table counters (expiries, re-dispatches, speculation, ...).
   exec::dist::LeaseStats leases;
-  /// Per-lease spans (taskId here is the index into the sweep's core
-  /// counts) for Chrome-trace export.
-  std::vector<exec::dist::LeaseSpan> leaseSpans;
-  /// Heartbeat round-trip samples, in arrival order. Host-time only.
-  std::vector<double> heartbeatRttMs;
   /// Non-empty when the coordinator could not start (bind/listen
   /// failure); the whole sweep then ran on the local pool.
   std::string error;
@@ -168,9 +163,9 @@ struct SweepResult {
   /// to `<path>.corrupt` and the sweep started fresh.
   std::string checkpointWarning;
   /// End-of-sweep pool telemetry (tasks per worker, queue-wait/busy time,
-  /// submit backpressure, queue occupancy) captured just before the pool
-  /// is torn down. workers is empty on the serial path and when the
-  /// observability layer is compiled out. Host-time only — two sweeps with
+  /// peak queue depth) captured just before the pool is torn down. The
+  /// pool runs min(workers, pending core counts) threads. workers is empty
+  /// on the serial path and when the observability layer is compiled out. Host-time only — two sweeps with
   /// identical simulated output may differ here.
   exec::ThreadPoolStats poolStats;
   /// Distributed-phase telemetry (dist.used == false when the sweep ran

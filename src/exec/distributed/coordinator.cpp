@@ -203,7 +203,7 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
         conn.assigned.erase(
             std::remove(conn.assigned.begin(), conn.assigned.end(), taskId),
             conn.assigned.end());
-        if (leases.completeTask(taskId, conn.workerId, nowMs())) {
+        if (leases.completeTask(taskId)) {
           settled[taskId] = true;
           config.onResult(message.result);
         }
@@ -213,13 +213,9 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
       case WireMessage::Kind::kPong: {
         const std::uint64_t sentNs = message.pingSentNs;
         const std::uint64_t now = steadyNowNs();
-        if (now >= sentNs) {
-          const double rtt =
-              static_cast<double>(now - sentNs) / 1'000'000.0;
-          report.rttMs.push_back(rtt);
-          if (rttGauge != nullptr) {
-            rttGauge->record(nowMs(), rtt);
-          }
+        if (rttGauge != nullptr && now >= sentNs) {
+          rttGauge->record(nowMs(),
+                           static_cast<double>(now - sentNs) / 1'000'000.0);
         }
         break;
       }
@@ -441,7 +437,7 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
   // Drain: cancellation tears leases down; completion/degradation just
   // says goodbye. Workers treat kShutdown as "disconnect now".
   if (report.cancelled) {
-    leases.cancelAll(nowMs());
+    leases.cancelAll();
   }
   WireMessage shutdown;
   shutdown.kind = WireMessage::Kind::kShutdown;
@@ -461,7 +457,6 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
     }
   }
   report.stats = leases.stats();
-  report.spans = leases.spans();
   return report;
 }
 

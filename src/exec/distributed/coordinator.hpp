@@ -87,15 +87,11 @@ struct CoordinatorReport {
   /// through onResult). Unsettled ids are the caller's to run locally.
   std::vector<std::uint64_t> settledTasks;
   LeaseStats stats;
-  std::vector<LeaseSpan> spans;
   std::vector<WorkerIncident> incidents;
   /// Distinct workers that completed the handshake over the run.
   std::size_t workersSeen = 0;
   /// Accepts closed at the admission cap (see maxConnections).
   std::uint64_t connectionsRefused = 0;
-  /// Heartbeat round-trip samples, arrival order (host-time, not
-  /// deterministic; diagnostics only).
-  std::vector<double> rttMs;
   bool cancelled = false;
   /// No worker arrived within the grace window; nothing was dispatched.
   bool degradedToLocal = false;

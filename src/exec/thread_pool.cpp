@@ -24,17 +24,8 @@ int resolveWorkerCount(int requested) {
   return hardware == 0 ? 1 : static_cast<int>(hardware);
 }
 
-ThreadPool::ThreadPool(ThreadPoolConfig config)
-    : queueOccupancy_(
-          std::max<Cycles>(1, static_cast<Cycles>(config.occupancyWindowNs)),
-          obs::MetricKind::kGauge) {
+ThreadPool::ThreadPool(ThreadPoolConfig config) {
   const int workerCount = resolveWorkerCount(config.workers);
-  capacity_ = config.queueCapacity != 0
-                  ? config.queueCapacity
-                  : static_cast<std::size_t>(workerCount) * 2;
-  if constexpr (obs::kCompiledIn) {
-    epochNs_ = obs::steadyNowNs();
-  }
   // Slots must exist before the first worker can touch them.
   for (int i = 0; i < workerCount; ++i) {
     slots_.emplace_back();
@@ -52,17 +43,8 @@ ThreadPool::~ThreadPool() {
     stopping_ = true;
   }
   notEmpty_.notify_all();
-  notFull_.notify_all();
   for (std::thread& worker : workers_) {
     worker.join();
-  }
-}
-
-void ThreadPool::recordOccupancyLocked() {
-  if constexpr (obs::kCompiledIn) {
-    queueOccupancy_.record(
-        static_cast<Cycles>(obs::steadyNowNs() - epochNs_),
-        static_cast<double>(queue_.size()));
   }
 }
 
@@ -71,34 +53,7 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   std::packaged_task<void()> packaged(std::move(task));
   std::future<void> future = packaged.get_future();
   {
-    std::unique_lock<std::mutex> lock(mutex_);
-    // Backpressure telemetry: read the clock only when this submit will
-    // actually block, so the uncontended path stays clock-free.
-    std::uint64_t blockStartNs = 0;
-    if constexpr (obs::kCompiledIn) {
-      if (queue_.size() >= capacity_ && !stopping_) {
-        blockStartNs = obs::steadyNowNs();
-      }
-    }
-    ++blockedSubmitters_;
-    notFull_.wait(lock,
-                  [this] { return queue_.size() < capacity_ || stopping_; });
-    --blockedSubmitters_;
-    if constexpr (obs::kCompiledIn) {
-      if (blockStartNs != 0) {
-        submitBlockNs_ += obs::steadyNowNs() - blockStartNs;
-      }
-    }
-    if (stopping_) {
-      // cancel() waits until blockedSubmitters_ drops to zero, so a
-      // submitter woken here has fully left the queue wait by the time a
-      // cancel() -> destroy sequence joins the workers.
-      const bool wasCancelled = cancelled_;
-      submittersIdle_.notify_all();
-      lock.unlock();
-      OCCM_REQUIRE_MSG(!wasCancelled, "submit on a cancelled ThreadPool");
-      OCCM_REQUIRE_MSG(false, "submit on a stopping ThreadPool");
-    }
+    const std::lock_guard<std::mutex> lock(mutex_);
     Entry entry{std::move(packaged), 0};
     if constexpr (obs::kCompiledIn) {
       entry.enqueueNs = obs::steadyNowNs();
@@ -107,68 +62,10 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
     queue_.push_back(std::move(entry));
     if constexpr (obs::kCompiledIn) {
       maxQueueDepth_ = std::max<std::uint64_t>(maxQueueDepth_, queue_.size());
-      recordOccupancyLocked();
     }
   }
   notEmpty_.notify_one();
   return future;
-}
-
-bool ThreadPool::trySubmit(std::function<void()> task,
-                           std::future<void>* future) {
-  OCCM_REQUIRE_MSG(task != nullptr, "null task");
-  std::packaged_task<void()> packaged(std::move(task));
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_ || queue_.size() >= capacity_) {
-      return false;
-    }
-    if (future != nullptr) {
-      *future = packaged.get_future();
-    }
-    Entry entry{std::move(packaged), 0};
-    if constexpr (obs::kCompiledIn) {
-      entry.enqueueNs = obs::steadyNowNs();
-      ++submitted_;
-    }
-    queue_.push_back(std::move(entry));
-    if constexpr (obs::kCompiledIn) {
-      maxQueueDepth_ = std::max<std::uint64_t>(maxQueueDepth_, queue_.size());
-      recordOccupancyLocked();
-    }
-  }
-  notEmpty_.notify_one();
-  return true;
-}
-
-void ThreadPool::cancel() {
-  // Move the queued tasks out under the lock but destroy them outside it:
-  // ~packaged_task publishes broken_promise to each future, and waking
-  // those waiters is not work to do while holding the pool mutex.
-  std::deque<Entry> discarded;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    stopping_ = true;
-    cancelled_ = true;
-    discarded.swap(queue_);
-    recordOccupancyLocked();
-    notEmpty_.notify_all();
-    notFull_.notify_all();
-    // Hold the door until every submitter blocked on backpressure has
-    // observed the cancellation and left the wait; after that, destroying
-    // the pool cannot race a submit() that is still inside it.
-    submittersIdle_.wait(lock, [this] { return blockedSubmitters_ == 0; });
-  }
-}
-
-bool ThreadPool::cancelled() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return cancelled_;
-}
-
-std::size_t ThreadPool::queued() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
 }
 
 ThreadPoolStats ThreadPool::stats() const {
@@ -185,9 +82,7 @@ ThreadPoolStats ThreadPool::stats() const {
   }
   const std::lock_guard<std::mutex> lock(mutex_);
   out.submitted = submitted_;
-  out.submitBlockNs = submitBlockNs_;
   out.maxQueueDepth = maxQueueDepth_;
-  out.queueOccupancy = queueOccupancy_;
   return out;
 }
 
@@ -202,9 +97,7 @@ void ThreadPool::workerLoop(std::size_t slot) {
       }
       entry = std::move(queue_.front());
       queue_.pop_front();
-      recordOccupancyLocked();
     }
-    notFull_.notify_one();
     if constexpr (obs::kCompiledIn) {
       WorkerSlot& mine = slots_[slot];
       const std::uint64_t startNs = obs::steadyNowNs();

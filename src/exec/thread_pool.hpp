@@ -1,8 +1,7 @@
 #pragma once
 
-// exec: a small fixed-size thread pool with a bounded task queue — the
-// concurrency substrate for running independent simulations (one sweep
-// point each) in parallel.
+// exec: a small fixed-size thread pool — the concurrency substrate for
+// running independent simulations (one sweep point each) in parallel.
 //
 // Design constraints, in order:
 //  - Determinism lives in the caller, not here. The pool guarantees only
@@ -13,18 +12,9 @@
 //  - Exceptions never kill a worker: each task runs inside a
 //    std::packaged_task, so whatever it throws is captured and rethrown
 //    from the submitter's future.
-//  - The queue is bounded. submit() blocks when the queue is full
-//    (backpressure towards producers), trySubmit() refuses instead; both
-//    keep memory proportional to workers + capacity, not to the number of
-//    tasks a producer can dream up.
-//  - Cancellation is cooperative and cannot deadlock shutdown. cancel()
-//    discards every queued-but-unstarted task (their futures report
-//    broken_promise), wakes every submitter blocked on backpressure (they
-//    throw a typed ContractViolation instead of queueing), and lets
-//    in-flight tasks finish. cancel() returns only after every blocked
-//    submit() has left the queue's wait, so the well-ordered sequence
-//    cancel() -> ~ThreadPool() can never join workers while a submitter
-//    still touches pool state.
+//  - The queue is unbounded and submit() never blocks; each caller bounds
+//    what it submits (runSweep: one task per pending core count; the
+//    advisor server: at most its admission-queue capacity).
 
 #include <atomic>
 #include <condition_variable>
@@ -38,7 +28,6 @@
 #include <vector>
 
 #include "common/aligned.hpp"
-#include "obs/time_series.hpp"
 
 namespace occm::exec {
 
@@ -51,14 +40,6 @@ namespace occm::exec {
 struct ThreadPoolConfig {
   /// Worker threads; <= 0 resolves via resolveWorkerCount.
   int workers = 0;
-  /// Bounded queue capacity (tasks waiting, excluding ones already
-  /// running); 0 means 2x the worker count.
-  std::size_t queueCapacity = 0;
-  /// Bucket width (host ns) of the queue-occupancy time series in
-  /// ThreadPoolStats. The series grows one bucket per window of pool
-  /// lifetime that sees a queue transition, so the default 1 ms suits
-  /// pools that live for seconds to minutes (a sweep), not daemons.
-  std::uint64_t occupancyWindowNs = 1'000'000;
 };
 
 /// Telemetry of one worker thread (host nanoseconds). All zeros when the
@@ -71,18 +52,13 @@ struct WorkerStats {
 
 /// End-of-life (or live) telemetry snapshot of a ThreadPool — the
 /// parallel-efficiency picture: who did the work (per-worker task counts
-/// and busy time), how long tasks sat queued, how often producers hit
-/// backpressure, and how full the queue ran over time. Host-time only;
-/// never feeds back into simulated results. Empty/zero with
-/// OCCM_ENABLE_OBS=OFF (the pool then takes no clock reads at all).
+/// and busy time) and how long tasks sat queued. Host-time only; never
+/// feeds back into simulated results. Empty/zero with OCCM_ENABLE_OBS=OFF
+/// (the pool then takes no clock reads at all).
 struct ThreadPoolStats {
   std::vector<WorkerStats> workers;
-  std::uint64_t submitted = 0;      ///< tasks accepted (submit + trySubmit)
-  std::uint64_t submitBlockNs = 0;  ///< total backpressure wait in submit()
+  std::uint64_t submitted = 0;      ///< tasks accepted by submit()
   std::uint64_t maxQueueDepth = 0;  ///< peak tasks waiting in the queue
-  /// Queue depth over host time since pool construction (gauge, sampled
-  /// at every enqueue/dequeue; 1 "cycle" = 1 ns).
-  obs::TimeSeries queueOccupancy{1, obs::MetricKind::kGauge};
 
   /// Sum of tasks over workers (== tasks completed + tasks running).
   [[nodiscard]] std::uint64_t totalTasks() const noexcept {
@@ -106,34 +82,10 @@ class ThreadPool {
   [[nodiscard]] int workers() const noexcept {
     return static_cast<int>(workers_.size());
   }
-  [[nodiscard]] std::size_t queueCapacity() const noexcept {
-    return capacity_;
-  }
 
-  /// Submits a task, blocking while the queue is at capacity. The future
-  /// becomes ready when the task finishes and rethrows anything the task
-  /// threw. Throws ContractViolation if the pool is shutting down or was
-  /// cancelled (including while blocked on backpressure).
+  /// Queues a task. The future becomes ready when the task finishes and
+  /// rethrows anything the task threw.
   std::future<void> submit(std::function<void()> task);
-
-  /// Non-blocking submit: returns false — leaving the task unqueued —
-  /// when the queue is at capacity or the pool is shutting down. On
-  /// success, stores the task's future into *future when it is non-null.
-  [[nodiscard]] bool trySubmit(std::function<void()> task,
-                               std::future<void>* future = nullptr);
-
-  /// Cooperative cancellation: discards every queued task (their futures
-  /// report std::future_error/broken_promise), wakes submitters blocked
-  /// on backpressure (they throw), and lets tasks already running finish.
-  /// Blocks until no submit() is inside the queue wait, so destroying the
-  /// pool right after cancel() is race-free. Idempotent; thread-safe.
-  void cancel();
-
-  /// True once cancel() has been called.
-  [[nodiscard]] bool cancelled() const;
-
-  /// Tasks queued but not yet picked up by a worker.
-  [[nodiscard]] std::size_t queued() const;
 
   /// Telemetry snapshot (see ThreadPoolStats). Safe to call while the
   /// pool is running; a worker mid-task shows its current task counted
@@ -162,27 +114,17 @@ class ThreadPool {
                 "slot must fill its cache line");
 
   void workerLoop(std::size_t slot);
-  /// Records a queue-depth sample; callers hold mutex_.
-  void recordOccupancyLocked();
 
   mutable std::mutex mutex_;
   std::condition_variable notEmpty_;
-  std::condition_variable notFull_;
-  std::condition_variable submittersIdle_;
   std::deque<Entry> queue_;
   std::vector<std::thread> workers_;
-  std::size_t capacity_ = 0;
-  std::size_t blockedSubmitters_ = 0;
   bool stopping_ = false;
-  bool cancelled_ = false;
 
   // Telemetry (all behind obs::kCompiledIn at the recording sites).
-  std::uint64_t epochNs_ = 0;  ///< pool construction time (host ns)
   std::deque<WorkerSlot> slots_;  ///< deque: stable refs, immovable atomics
   std::uint64_t submitted_ = 0;       ///< guarded by mutex_
-  std::uint64_t submitBlockNs_ = 0;   ///< guarded by mutex_
   std::uint64_t maxQueueDepth_ = 0;   ///< guarded by mutex_
-  obs::TimeSeries queueOccupancy_;    ///< guarded by mutex_
 };
 
 }  // namespace occm::exec

@@ -19,7 +19,6 @@
 
 #include "analysis/csv.hpp"
 #include "analysis/experiment.hpp"
-#include "analysis/lifecycle_export.hpp"
 #include "common/cancellation.hpp"
 #include "topology/presets.hpp"
 
@@ -313,29 +312,32 @@ TEST(SweepLifecycle, FailureExportsCarryLifecycleKinds) {
                             RunFailureKind::kCrash, 6, "address-space",
                             "memory budget (RLIMIT_AS) exceeded", ""});
 
-  const std::string csv = failuresToCsv(sweep);
-  EXPECT_NE(csv.find("cores,attempts,recovered,pool_size,kind,signal,"
-                     "rlimit,has_stderr_tail,worker,error"),
+  // diagnostics() is the text export of the failure records: every
+  // non-default kind is tagged, and the error text passes through as is.
+  const std::string text = sweep.diagnostics();
+  EXPECT_NE(text.find("4 failure record(s)"), std::string::npos) << text;
+  EXPECT_NE(text.find("n = 1: 2 attempt(s), gave up — boom, with "
+                      "\"quotes\""),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("n = 2: 1 attempt(s), gave up [timeout] — over budget"),
             std::string::npos);
-  EXPECT_NE(csv.find("exception"), std::string::npos);
-  EXPECT_NE(csv.find("timeout"), std::string::npos);
-  EXPECT_NE(csv.find("cancelled"), std::string::npos);
-  // The crash row carries its forensics columns; non-crash rows show the
-  // zero/empty defaults.
-  EXPECT_NE(csv.find("crash,6,address-space,true,"), std::string::npos);
-  EXPECT_NE(csv.find("exception,0,,false,"), std::string::npos);
-  EXPECT_NE(csv.find("\"boom, with \"\"quotes\"\"\""), std::string::npos)
-      << csv;
-
-  const std::string trace = lifecycleToChromeTraceJson(sweep);
-  EXPECT_NE(trace.find("\"lifecycle\""), std::string::npos);
-  EXPECT_NE(trace.find("sweep.failures.timeout"), std::string::npos);
-  EXPECT_NE(trace.find("sweep.failures.crash"), std::string::npos);
-  EXPECT_NE(trace.find("signal 6"), std::string::npos);
-  EXPECT_NE(trace.find("rlimit address-space"), std::string::npos);
-  EXPECT_NE(trace.find("over budget"), std::string::npos);
+  EXPECT_NE(text.find("n = 3: 1 attempt(s), gave up [cancelled] — ctrl-c"),
+            std::string::npos);
+  EXPECT_NE(text.find("n = 4: 1 attempt(s), gave up [crash] — child "
+                      "terminated by signal 6"),
+            std::string::npos);
+  // The records themselves keep each kind and the crash forensics.
+  ASSERT_EQ(sweep.failures.size(), 4u);
+  EXPECT_STREQ(toString(sweep.failures[0].kind), "exception");
+  EXPECT_STREQ(toString(sweep.failures[1].kind), "timeout");
+  EXPECT_STREQ(toString(sweep.failures[2].kind), "cancelled");
+  EXPECT_STREQ(toString(sweep.failures[3].kind), "crash");
+  EXPECT_EQ(sweep.failures[3].signal, 6);
+  EXPECT_EQ(sweep.failures[3].rlimit, "address-space");
+  EXPECT_FALSE(sweep.failures[3].stderrTail.empty());
   // Deterministic: same result, same bytes.
-  EXPECT_EQ(lifecycleToChromeTraceJson(sweep), trace);
+  EXPECT_EQ(sweep.diagnostics(), text);
 }
 
 TEST(CancellationPrimitives, TokenSourceAndDeadlineSemantics) {

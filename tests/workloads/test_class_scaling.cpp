@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "trace/stream_analysis.hpp"
+#include "stream_stats.hpp"
 #include "workloads/kernels.hpp"
 
 namespace occm::workloads {
@@ -24,7 +24,7 @@ TotalStats totals(Program program, ProblemClass cls) {
   out.sharedBytes = build.sharedBytes;
   for (const auto& phases : build.threadPhases) {
     PhaseStream stream(phases);
-    const auto stats = trace::analyzeStream(stream, kMaxRefs);
+    const auto stats = streamStats(stream, kMaxRefs);
     out.refs += stats.refs;
     out.work += stats.workCycles;
   }
@@ -81,7 +81,7 @@ TEST(ClassScalingX264, InputsGrowMonotonically) {
     Cycles work = 0;
     for (const auto& phases : build.threadPhases) {
       PhaseStream stream(phases);
-      work += trace::analyzeStream(stream, kMaxRefs).workCycles;
+      work += streamStats(stream, kMaxRefs).workCycles;
     }
     EXPECT_GT(work, previous) << problemClassName(cls);
     previous = work;

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "trace/stream_analysis.hpp"
+#include "stream_stats.hpp"
 #include "workloads/workload.hpp"
 
 namespace occm::workloads {
@@ -14,9 +14,9 @@ namespace {
 
 constexpr std::uint64_t kMaxRefs = 50'000'000;
 
-trace::StreamStats statsOf(const KernelBuild& build, int thread) {
+StreamStats statsOf(const KernelBuild& build, int thread) {
   PhaseStream stream(build.threadPhases[static_cast<std::size_t>(thread)]);
-  return trace::analyzeStream(stream, kMaxRefs);
+  return streamStats(stream, kMaxRefs);
 }
 
 struct ProgramCase {
@@ -32,7 +32,7 @@ TEST_P(KernelCharacterisation, BuildsNonTrivialPerThreadStreams) {
   ASSERT_EQ(build.threadPhases.size(), 4u);
   EXPECT_FALSE(build.sizeDescription.empty());
   for (int t = 0; t < 4; ++t) {
-    const trace::StreamStats stats = statsOf(build, t);
+    const StreamStats stats = statsOf(build, t);
     EXPECT_GT(stats.refs, 100u) << "thread " << t;
     EXPECT_GT(stats.workCycles, 0u);
     EXPECT_GT(stats.instructions, 0u);
@@ -88,10 +88,10 @@ TEST(KernelScaling, X264FootprintGrowsToNative) {
 
 TEST(KernelCg, GatherDominatedAndShared) {
   const KernelBuild build = buildCg(ProblemClass::kW, 2, 1);
-  const trace::StreamStats stats = statsOf(build, 0);
+  const StreamStats stats = statsOf(build, 0);
   EXPECT_EQ(stats.sharedFraction(), 1.0);  // CG state is all shared
   // Working set per thread ~ matrix slice + vectors; far beyond L1.
-  EXPECT_GT(stats.workingSetBytes, 64 * kKiB);
+  EXPECT_GT(stats.workingSetBytes(), 64 * kKiB);
 }
 
 TEST(KernelCg, IterationsRevisitTheSameElements) {
@@ -99,22 +99,22 @@ TEST(KernelCg, IterationsRevisitTheSameElements) {
   // iterations replay the same sparse pattern.
   const KernelBuild build = buildCg(ProblemClass::kS, 1, 1);
   PhaseStream stream(build.threadPhases[0]);
-  const auto half = trace::analyzeStream(stream, stream.totalOps() / 2);
+  const auto half = streamStats(stream, stream.totalOps() / 2);
   stream.reset();
-  const auto full = trace::analyzeStream(stream, kMaxRefs);
+  const auto full = streamStats(stream, kMaxRefs);
   EXPECT_LT(static_cast<double>(full.distinctLines),
             1.2 * static_cast<double>(half.distinctLines));
 }
 
 TEST(KernelEp, MostlyPrivateWithSharedTallies) {
   const KernelBuild build = buildEp(ProblemClass::kW, 4, 1);
-  const trace::StreamStats stats = statsOf(build, 0);
+  const StreamStats stats = statsOf(build, 0);
   EXPECT_LT(stats.sharedFraction(), 0.2);
   EXPECT_GT(stats.sharedFraction(), 0.0);
   // Tiny working set: buffer + tally lines.
-  EXPECT_LT(stats.workingSetBytes, 32 * kKiB);
+  EXPECT_LT(stats.workingSetBytes(), 32 * kKiB);
   // Compute heavy: much more work per reference than CG.
-  const trace::StreamStats cg = statsOf(buildCg(ProblemClass::kW, 4, 1), 0);
+  const StreamStats cg = statsOf(buildCg(ProblemClass::kW, 4, 1), 0);
   EXPECT_GT(stats.workPerRef(), cg.workPerRef());
 }
 
@@ -125,14 +125,14 @@ TEST(KernelEp, SharedFootprintIsTwoLines) {
 
 TEST(KernelIs, WritesFractionSubstantial) {
   const KernelBuild build = buildIs(ProblemClass::kW, 2, 1);
-  const trace::StreamStats stats = statsOf(build, 0);
+  const StreamStats stats = statsOf(build, 0);
   EXPECT_GT(stats.writeFraction(), 0.2);
   EXPECT_LT(stats.writeFraction(), 0.8);
 }
 
 TEST(KernelFt, PencilStridesPresent) {
   const KernelBuild build = buildFt(ProblemClass::kS, 1, 1);
-  const trace::StreamStats stats = statsOf(build, 0);
+  const StreamStats stats = statsOf(build, 0);
   // grid 16: y stride = 16*16 = 256 bytes, z stride = 16*16*16 = 4096.
   EXPECT_TRUE(stats.strides.count(256) > 0);
   EXPECT_TRUE(stats.strides.count(4096) > 0);
@@ -141,7 +141,7 @@ TEST(KernelFt, PencilStridesPresent) {
 
 TEST(KernelSp, PlaneStridePresentAndWriteHeavy) {
   const KernelBuild build = buildSp(ProblemClass::kS, 1, 1);
-  const trace::StreamStats stats = statsOf(build, 0);
+  const StreamStats stats = statsOf(build, 0);
   // grid 8, 40 B cells: row stride 320, plane stride 2560.
   EXPECT_TRUE(stats.strides.count(320) > 0);
   EXPECT_TRUE(stats.strides.count(2560) > 0);
@@ -150,9 +150,9 @@ TEST(KernelSp, PlaneStridePresentAndWriteHeavy) {
 
 TEST(KernelX264, SearchLocalityIsCompact) {
   const KernelBuild build = buildX264(ProblemClass::kSimSmall, 1, 1);
-  const trace::StreamStats stats = statsOf(build, 0);
+  const StreamStats stats = statsOf(build, 0);
   // Frames + output ring at 160x90: the whole working set is small.
-  EXPECT_LT(stats.workingSetBytes, 256 * kKiB);
+  EXPECT_LT(stats.workingSetBytes(), 256 * kKiB);
   EXPECT_EQ(stats.sharedFraction(), 1.0);
 }
 
@@ -172,7 +172,7 @@ TEST(Workloads, ThreadsPartitionTheWork) {
     std::uint64_t refs = 0;
     for (int t = 0; t < threads; ++t) {
       PhaseStream stream(build.threadPhases[static_cast<std::size_t>(t)]);
-      refs += trace::analyzeStream(stream, kMaxRefs).refs;
+      refs += streamStats(stream, kMaxRefs).refs;
     }
     return refs;
   };

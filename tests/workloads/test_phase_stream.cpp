@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 #include "common/error.hpp"
@@ -133,6 +134,26 @@ TEST(PhaseStream, GatherStaysInsideTable) {
     EXPECT_LT(op.addr, static_cast<Addr>((1 << 20) + 4096));
     EXPECT_EQ(op.addr % 8, 0u);
   }
+}
+
+TEST(PhaseStream, GatherCoversTheTable) {
+  Phase g;
+  g.kind = Phase::Kind::kGather;
+  g.base = 0;
+  g.tableBytes = 64 * 64;
+  g.elementBytes = 8;
+  g.count = 5000;
+  g.seed = 9;
+  PhaseStream stream({g});
+  const std::vector<trace::Op> ops = drain(stream);
+  EXPECT_EQ(ops.size(), 5000u);
+  // Nearly every line of a 64-line table is hit by 5000 uniform draws.
+  std::set<Addr> lines;
+  for (const auto& op : ops) {
+    lines.insert(op.addr / 64);
+  }
+  EXPECT_GE(lines.size(), 60u);
+  EXPECT_LE(lines.size(), 64u);
 }
 
 TEST(PhaseStream, ResetReplaysIdentically) {
