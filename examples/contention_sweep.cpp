@@ -54,6 +54,7 @@
 #include "analysis/experiment.hpp"
 #include "common/crc32.hpp"
 #include "core/occm.hpp"
+#include "flag_value.hpp"
 
 namespace {
 
@@ -114,18 +115,32 @@ int main(int argc, char** argv) {
   std::uint64_t maxTasks = 0;
   std::string csvPath;
   exec::chaos::ChaosConfig chaos;
+  const auto usage = [argv] {
+    std::fprintf(stderr,
+                 "usage: %s [program.class] [--workers=N] "
+                 "[--deadline=SECONDS] [--budget-cycles=N] "
+                 "[--checkpoint=PATH] [--isolate] [--mem-limit=MB] "
+                 "[--listen=PORT] [--grace=SECONDS] [--lease=SECONDS] "
+                 "[--max-expiries=N] [--csv=PATH] "
+                 "[--connect=HOST:PORT] [--worker-id=NAME] "
+                 "[--idle-timeout-ms=N] "
+                 "[--straggle-ms=N] [--max-tasks=N] "
+                 "[--chaos-seed=N] [--chaos-plan=SPEC]\n",
+                 argv[0]);
+  };
+  using examples::flagValue;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--workers=", 0) == 0) {
-      workers = std::max(1, std::atoi(arg.c_str() + 10));
+      workers = std::max(1, flagValue<int>(arg, usage));
       continue;
     }
     if (arg.rfind("--deadline=", 0) == 0) {
-      deadline = std::atof(arg.c_str() + 11);
+      deadline = flagValue<double>(arg, usage);
       continue;
     }
     if (arg.rfind("--budget-cycles=", 0) == 0) {
-      budgetCycles = std::strtoull(arg.c_str() + 16, nullptr, 10);
+      budgetCycles = flagValue<Cycles>(arg, usage);
       continue;
     }
     if (arg.rfind("--checkpoint=", 0) == 0) {
@@ -139,12 +154,12 @@ int main(int argc, char** argv) {
     if (arg.rfind("--mem-limit=", 0) == 0) {
       // Per-attempt RLIMIT_AS budget in MiB; only meaningful for a
       // forked child, so it implies --isolate.
-      memLimitMb = std::strtoull(arg.c_str() + 12, nullptr, 10);
+      memLimitMb = flagValue<std::uint64_t>(arg, usage);
       isolate = true;
       continue;
     }
     if (arg.rfind("--listen=", 0) == 0) {
-      listenPort = std::atoi(arg.c_str() + 9);  // 0 = ephemeral
+      listenPort = flagValue<int>(arg, usage);  // 0 = ephemeral
       continue;
     }
     if (arg.rfind("--connect=", 0) == 0) {
@@ -156,7 +171,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       connectHost = hostPort.substr(0, colon);
-      connectPort = std::atoi(hostPort.c_str() + colon + 1);
+      connectPort = flagValue<int>(arg, usage, arg.rfind(':') + 1);
       continue;
     }
     if (arg.rfind("--worker-id=", 0) == 0) {
@@ -164,27 +179,27 @@ int main(int argc, char** argv) {
       continue;
     }
     if (arg.rfind("--grace=", 0) == 0) {
-      grace = std::atof(arg.c_str() + 8);
+      grace = flagValue<double>(arg, usage);
       continue;
     }
     if (arg.rfind("--lease=", 0) == 0) {
-      leaseSeconds = std::atof(arg.c_str() + 8);
+      leaseSeconds = flagValue<double>(arg, usage);
       continue;
     }
     if (arg.rfind("--max-expiries=", 0) == 0) {
-      maxExpiries = std::atoi(arg.c_str() + 15);
+      maxExpiries = flagValue<int>(arg, usage);
       continue;
     }
     if (arg.rfind("--idle-timeout-ms=", 0) == 0) {
-      idleTimeoutMs = std::strtoull(arg.c_str() + 18, nullptr, 10);
+      idleTimeoutMs = flagValue<std::uint64_t>(arg, usage);
       continue;
     }
     if (arg.rfind("--straggle-ms=", 0) == 0) {
-      straggleMs = std::strtoull(arg.c_str() + 14, nullptr, 10);
+      straggleMs = flagValue<std::uint64_t>(arg, usage);
       continue;
     }
     if (arg.rfind("--max-tasks=", 0) == 0) {
-      maxTasks = std::strtoull(arg.c_str() + 12, nullptr, 10);
+      maxTasks = flagValue<std::uint64_t>(arg, usage);
       continue;
     }
     if (arg.rfind("--csv=", 0) == 0) {
@@ -192,7 +207,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (arg.rfind("--chaos-seed=", 0) == 0) {
-      chaos.seed = std::strtoull(arg.c_str() + 13, nullptr, 10);
+      chaos.seed = flagValue<std::uint64_t>(arg, usage);
       chaos.plan = exec::chaos::planFromSeed(chaos.seed);
       continue;
     }
@@ -207,18 +222,8 @@ int main(int argc, char** argv) {
     }
     const auto dot = arg.find('.');
     if (dot == std::string::npos) {
-      std::fprintf(stderr,
-                   "usage: %s [program.class] [--workers=N] "
-                   "[--deadline=SECONDS] [--budget-cycles=N] "
-                   "[--checkpoint=PATH] [--isolate] [--mem-limit=MB] "
-                   "[--listen=PORT] [--grace=SECONDS] [--lease=SECONDS] "
-                   "[--max-expiries=N] [--csv=PATH] "
-                   "[--connect=HOST:PORT] [--worker-id=NAME] "
-                   "[--idle-timeout-ms=N] "
-                   "[--straggle-ms=N] [--max-tasks=N] "
-                   "[--chaos-seed=N] [--chaos-plan=SPEC]\n",
-                   argv[0]);
-      return 1;
+      usage();
+      return 2;
     }
     workload.program = parseProgram(arg.substr(0, dot));
     workload.problemClass = parseClass(arg.substr(dot + 1));

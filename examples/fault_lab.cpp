@@ -38,6 +38,7 @@
 #include "analysis/experiment.hpp"
 #include "core/occm.hpp"
 #include "fault/fault_plan.hpp"
+#include "flag_value.hpp"
 
 namespace {
 
@@ -132,14 +133,21 @@ int main(int argc, char** argv) {
   double deadline = 0.0;
   bool isolate = false;
   std::uint64_t memLimitMb = 0;
+  const auto usage = [argv] {
+    std::fprintf(stderr,
+                 "usage: %s [program.class] [--workers=N] "
+                 "[--deadline=SECONDS] [--isolate] [--mem-limit=MB]\n",
+                 argv[0]);
+  };
+  using examples::flagValue;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--workers=", 0) == 0) {
-      workers = std::max(1, std::atoi(arg.c_str() + 10));
+      workers = std::max(1, flagValue<int>(arg, usage));
       continue;
     }
     if (arg.rfind("--deadline=", 0) == 0) {
-      deadline = std::atof(arg.c_str() + 11);
+      deadline = flagValue<double>(arg, usage);
       continue;
     }
     if (arg == "--isolate") {
@@ -147,17 +155,14 @@ int main(int argc, char** argv) {
       continue;
     }
     if (arg.rfind("--mem-limit=", 0) == 0) {
-      memLimitMb = std::strtoull(arg.c_str() + 12, nullptr, 10);
+      memLimitMb = flagValue<std::uint64_t>(arg, usage);
       isolate = true;
       continue;
     }
     const auto dot = arg.find('.');
     if (dot == std::string::npos) {
-      std::fprintf(stderr,
-                   "usage: %s [program.class] [--workers=N] "
-                   "[--deadline=SECONDS] [--isolate] [--mem-limit=MB]\n",
-                   argv[0]);
-      return 1;
+      usage();
+      return 2;
     }
     workload.program = parseProgram(arg.substr(0, dot));
     workload.problemClass = parseClass(arg.substr(dot + 1));

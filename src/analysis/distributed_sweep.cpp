@@ -23,53 +23,13 @@ std::uint64_t toMs(double seconds) {
 // Name -> enum parsing lives in workloads/problem.hpp (parseProgram /
 // parseProblemClass), shared with the serve-tier request validation.
 
-RunFailureKind localKind(dist::WireFailureKind kind) {
-  switch (kind) {
-    case dist::WireFailureKind::kException: return RunFailureKind::kException;
-    case dist::WireFailureKind::kTimeout: return RunFailureKind::kTimeout;
-    case dist::WireFailureKind::kCancelled: return RunFailureKind::kCancelled;
-    case dist::WireFailureKind::kCrash: return RunFailureKind::kCrash;
-  }
-  return RunFailureKind::kException;
-}
-
-dist::WireFailureKind wireKind(RunFailureKind kind) {
-  switch (kind) {
-    case RunFailureKind::kTimeout: return dist::WireFailureKind::kTimeout;
-    case RunFailureKind::kCancelled: return dist::WireFailureKind::kCancelled;
-    case RunFailureKind::kCrash: return dist::WireFailureKind::kCrash;
-    case RunFailureKind::kException:
-    case RunFailureKind::kWorkerLost:
-    case RunFailureKind::kHandshake:
-    case RunFailureKind::kFrameCorrupt:
-      // The last three are coordinator-local and cannot come out of the
-      // attempt loop; fold defensively onto the generic kind.
-      return dist::WireFailureKind::kException;
-  }
-  return dist::WireFailureKind::kException;
-}
-
-RunFailureKind incidentKind(dist::WorkerIncident::Kind kind) {
-  switch (kind) {
-    case dist::WorkerIncident::Kind::kWorkerLost:
-      return RunFailureKind::kWorkerLost;
-    case dist::WorkerIncident::Kind::kHandshake:
-      return RunFailureKind::kHandshake;
-    case dist::WorkerIncident::Kind::kFrameCorrupt:
-      return RunFailureKind::kFrameCorrupt;
-  }
-  return RunFailureKind::kWorkerLost;
-}
-
 /// A worker-side failure the job never even started on (malformed job,
 /// rejected fault plan).
 dist::TaskResult failedResult(std::uint64_t taskId, std::string error) {
   dist::TaskResult result;
   result.taskId = taskId;
-  result.hasFailure = true;
-  result.failure.kind = dist::WireFailureKind::kException;
-  result.failure.attempts = 1;
-  result.failure.error = std::move(error);
+  result.failure.emplace().attempts = 1;
+  result.failure->error = std::move(error);
   return result;
 }
 
@@ -110,29 +70,15 @@ dist::JobSpec makeJobSpec(const SweepConfig& config,
 
 TaskOutcome resultToOutcome(const dist::TaskResult& result, int cores) {
   TaskOutcome outcome;
-  if (result.hasProfile) {
-    outcome.profile = result.profile;
-    outcome.record = makeRunRecord(result.profile, cores);
+  outcome.profile = result.profile;
+  outcome.failure = result.failure;
+  if (!result.profile.has_value() && !result.failure.has_value()) {
+    outcome.failure.emplace().attempts = 1;
+    outcome.failure->kind = RunFailureKind::kFrameCorrupt;
+    outcome.failure->error = "task result carried neither profile nor failure";
   }
-  if (result.hasFailure) {
-    RunFailure failure;
-    failure.cores = cores;
-    failure.attempts = result.failure.attempts;
-    failure.error = result.failure.error;
-    failure.recovered = result.failure.recovered;
-    failure.kind = localKind(result.failure.kind);
-    failure.signal = result.failure.signal;
-    failure.rlimit = result.failure.rlimit;
-    failure.stderrTail = result.failure.stderrTail;
-    outcome.failure = std::move(failure);
-  }
-  if (!result.hasProfile && !result.hasFailure) {
-    RunFailure failure;
-    failure.cores = cores;
-    failure.attempts = 1;
-    failure.kind = RunFailureKind::kFrameCorrupt;
-    failure.error = "task result carried neither profile nor failure";
-    outcome.failure = std::move(failure);
+  if (outcome.failure.has_value()) {
+    outcome.failure->cores = cores;
   }
   return outcome;
 }
@@ -195,28 +141,12 @@ dist::TaskResult runSweepJob(const dist::JobSpec& job,
   Watchdog watchdog(0.0, {}, 1);
   TaskOutcome outcome = runCoreCountTask(context, job.cores, watchdog, 0);
 
-  dist::TaskResult result;
-  result.taskId = job.taskId;
-  if (outcome.profile.has_value()) {
-    result.hasProfile = true;
-    result.profile = std::move(*outcome.profile);
-  }
-  if (outcome.failure.has_value()) {
-    result.hasFailure = true;
-    result.failure.kind = wireKind(outcome.failure->kind);
-    result.failure.attempts = outcome.failure->attempts;
-    result.failure.recovered = outcome.failure->recovered;
-    result.failure.error = outcome.failure->error;
-    result.failure.signal = outcome.failure->signal;
-    result.failure.rlimit = outcome.failure->rlimit;
-    result.failure.stderrTail = outcome.failure->stderrTail;
-  }
-  if (!result.hasProfile && !result.hasFailure) {
+  if (!outcome.profile.has_value() && !outcome.failure.has_value()) {
     // The attempt loop only yields an empty outcome when a sweep-level
     // stop fired, which a worker never arms; keep the invariant anyway.
     return failedResult(job.taskId, "task produced no outcome");
   }
-  return result;
+  return {job.taskId, std::move(outcome.profile), std::move(outcome.failure)};
 }
 
 DistributedPhaseOutcome runDistributedPhase(
@@ -288,12 +218,8 @@ DistributedPhaseOutcome runDistributedPhase(
   phase.stats.degradedToLocal = report.degradedToLocal;
   phase.stats.leases = report.stats;
   phase.stats.error = std::move(report.error);
-  for (const dist::WorkerIncident& incident : report.incidents) {
-    RunFailure failure;
-    failure.kind = incidentKind(incident.kind);
-    failure.error = incident.detail;
-    failure.worker = incident.worker;
-    failure.attempts = 1;
+  for (dist::WorkerIncident& incident : report.incidents) {
+    RunFailure& failure = incident.failure;
     if (incident.taskId.has_value() && *incident.taskId < globalIndex.size()) {
       const std::size_t index = globalIndex[*incident.taskId];
       failure.cores = coreCounts[index];

@@ -83,9 +83,11 @@ TaskOutcome runSweepTask(const SweepConfig& config,
 class CheckpointWriter {
  public:
   CheckpointWriter(const SweepConfig& config, SweepCheckpoint restoredState,
+                   const std::vector<int>& coreCounts,
                    const std::vector<TaskOutcome>& outcomes)
       : path_(config.checkpointPath), base_(std::move(restoredState)),
-        outcomes_(outcomes), done_(outcomes.size(), false) {}
+        coreCounts_(coreCounts), outcomes_(outcomes),
+        done_(outcomes.size(), false) {}
 
   /// Marks task `index` complete and persists the snapshot (no-op without
   /// a checkpoint path). Thread-safe.
@@ -102,8 +104,9 @@ class CheckpointWriter {
       }
       const TaskOutcome& outcome = outcomes_[i];
       // Restored outcomes are already in the base snapshot.
-      if (outcome.record.has_value() && !outcome.restored) {
-        snapshot.runs.push_back(*outcome.record);
+      if (outcome.profile.has_value() && !outcome.restored) {
+        snapshot.runs.push_back(
+            makeRunRecord(*outcome.profile, coreCounts_[i]));
       }
       // Timeouts and cancellations are lifecycle outcomes of *this*
       // invocation: persisting them would pile up stale records across
@@ -123,6 +126,7 @@ class CheckpointWriter {
   std::mutex mutex_;
   const std::string path_;
   const SweepCheckpoint base_;
+  const std::vector<int>& coreCounts_;
   const std::vector<TaskOutcome>& outcomes_;
   std::vector<bool> done_;
 };
@@ -337,7 +341,7 @@ SweepResult runSweep(const SweepConfig& config) {
   exec::ThreadPoolStats poolStats;
 
   std::vector<TaskOutcome> outcomes(coreCounts.size());
-  CheckpointWriter checkpoint(config, restoredState, outcomes);
+  CheckpointWriter checkpoint(config, restoredState, coreCounts, outcomes);
   // One watchdog (and one slot per task) for the whole sweep; its thread
   // only exists when a wall deadline or a sweep token is configured.
   Watchdog watchdog(config.limits.wallSeconds, config.cancel,

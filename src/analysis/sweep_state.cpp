@@ -453,15 +453,6 @@ Expected<SweepCheckpoint, CheckpointError> SweepCheckpoint::parseChecked(
   return state;
 }
 
-std::optional<SweepCheckpoint> SweepCheckpoint::parse(
-    const std::string& json) {
-  Expected<SweepCheckpoint, CheckpointError> result = parseChecked(json);
-  if (!result) {
-    return std::nullopt;
-  }
-  return std::move(*result);
-}
-
 bool SweepCheckpoint::save(const std::string& path) const {
   const std::string tmp = path + ".tmp";
   const std::string body = toJson();
@@ -573,14 +564,6 @@ Expected<SweepCheckpoint, CheckpointError> SweepCheckpoint::loadOrQuarantine(
     }
   }
   return makeUnexpected(std::move(err));
-}
-
-std::optional<SweepCheckpoint> SweepCheckpoint::load(const std::string& path) {
-  Expected<SweepCheckpoint, CheckpointError> result = loadChecked(path);
-  if (!result) {
-    return std::nullopt;
-  }
-  return std::move(*result);
 }
 
 }  // namespace occm::analysis

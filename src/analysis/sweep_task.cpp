@@ -78,50 +78,34 @@ dist::TaskResult runAttempt(const RunTaskContext& context, int cores,
     }
     dist::TaskResult result;
     result.profile = simulate();
-    result.hasProfile = true;
     return result;
   } catch (...) {
     dist::TaskResult result;
-    result.hasFailure = true;
     result.failure = exec::failureFromException(std::current_exception());
     return result;
   }
 }
 
-/// Applies one failed attempt to the task's failure record — the only
-/// place a failure becomes a RunFailureKind. Crashes and exceptions are
-/// retried under the next seed; timeouts and cancellations end the task
-/// (a timed-out run would time out again, and a cancelled sweep wants to
-/// wind down). A cycle budget and a fired wall deadline are both "overran
-/// its limits"; everything else a cancellation carried is the sweep-wide
-/// stop. Crash evidence (signal, rlimit, stderr tail) survives only on a
-/// crash record. Returns true when the task ends.
-bool settleFailure(RunFailure& record, dist::TaskFailure failure,
-                   bool timedOut) {
-  record.error = std::move(failure.error);
-  if (failure.kind == dist::WireFailureKind::kCrash) {
-    record.signal = failure.signal;
-    record.rlimit = std::move(failure.rlimit);
-    record.stderrTail = std::move(failure.stderrTail);
-  } else {
-    record.signal = 0;
-    record.rlimit.clear();
-    record.stderrTail.clear();
+/// Applies the retry policy to one failed attempt's record. Crashes and
+/// exceptions are retried under the next seed; timeouts and cancellations
+/// end the task (a timed-out run would time out again, and a cancelled
+/// sweep wants to wind down). A cycle budget and a fired wall deadline
+/// are both "overran its limits"; everything else a cancellation carried
+/// is the sweep-wide stop. Crash evidence (signal, rlimit, stderr tail)
+/// survives only on a crash record. Returns true when the task ends.
+bool settleFailure(RunFailure& failure, bool timedOut) {
+  if (failure.kind != RunFailureKind::kCrash) {
+    failure.signal = 0;
+    failure.rlimit.clear();
+    failure.stderrTail.clear();
   }
-  switch (failure.kind) {
-    case dist::WireFailureKind::kCrash:
-      record.kind = RunFailureKind::kCrash;
-      return false;
-    case dist::WireFailureKind::kException:
-      record.kind = RunFailureKind::kException;
-      return false;
-    case dist::WireFailureKind::kTimeout:
-    case dist::WireFailureKind::kCancelled:
-      break;
+  if (failure.kind == RunFailureKind::kCrash ||
+      failure.kind == RunFailureKind::kException) {
+    return false;
   }
-  record.kind = failure.kind == dist::WireFailureKind::kTimeout || timedOut
-                    ? RunFailureKind::kTimeout
-                    : RunFailureKind::kCancelled;
+  failure.kind = failure.kind == RunFailureKind::kTimeout || timedOut
+                     ? RunFailureKind::kTimeout
+                     : RunFailureKind::kCancelled;
   return true;
 }
 
@@ -241,7 +225,6 @@ std::optional<TaskOutcome> restoredOutcome(const SweepCheckpoint& restoredState,
   profile.throttledCycles = static_cast<Cycles>(record->throttledCycles);
   profile.makespan = static_cast<Cycles>(record->makespan);
   outcome.profile = std::move(profile);
-  outcome.record = *record;
   outcome.restored = true;
   return outcome;
 }
@@ -255,37 +238,35 @@ TaskOutcome runCoreCountTask(const RunTaskContext& context, int cores,
     outcome.skipped = true;
     return outcome;
   }
-  RunFailure failure;
-  failure.cores = cores;
-  failure.poolSize = context.poolSize;
-  for (int attempt = 0; attempt < context.maxAttempts; ++attempt) {
+  std::optional<RunFailure>& failure = outcome.failure;
+  int attempts = 0;
+  while (attempts < context.maxAttempts) {
     dist::TaskResult result =
-        runAttempt(context, cores, attempt, watchdog, slot);
-    failure.attempts = attempt + 1;
-    if (result.hasProfile) {
-      if (attempt > 0) {
-        failure.recovered = true;
-        outcome.failure = failure;
-      }
-      outcome.record = makeRunRecord(result.profile, cores);
+        runAttempt(context, cores, attempts++, watchdog, slot);
+    if (result.profile.has_value()) {
       outcome.profile = std::move(result.profile);
-      return outcome;
+      if (failure.has_value()) {
+        failure->recovered = true;
+      }
+      break;
     }
-    bool ended = settleFailure(failure, std::move(result.failure),
-                               watchdog.timedOut(slot));
+    failure = std::move(result.failure);
+    bool ended = settleFailure(*failure, watchdog.timedOut(slot));
     if (!ended && context.sweepCancel.stopRequested()) {
       // Stop requested between attempts: don't burn retries on a sweep
       // that is winding down.
-      dist::TaskFailure stop;
-      stop.kind = dist::WireFailureKind::kCancelled;
-      stop.error = std::move(failure.error);
-      ended = settleFailure(failure, std::move(stop), watchdog.timedOut(slot));
+      failure->kind = RunFailureKind::kCancelled;
+      ended = settleFailure(*failure, watchdog.timedOut(slot));
     }
     if (ended) {
       break;
     }
   }
-  outcome.failure = failure;
+  if (failure.has_value()) {
+    failure->cores = cores;
+    failure->attempts = attempts;
+    failure->poolSize = context.poolSize;
+  }
   return outcome;
 }
 

@@ -7,7 +7,9 @@
 // That sharing is the heart of the fleet's determinism guarantee: a
 // worker across a socket produces the same TaskOutcome bits as the same
 // task run in-process, so the deterministic request-order merge cannot
-// tell them apart.
+// tell them apart. Every failed attempt, in-process, forked or remote,
+// comes back as the one exec::RunFailure record, which the task keeps
+// as its TaskOutcome::failure after the retry policy has run.
 //
 // Lifecycle control (wall deadlines, sweep-wide stop relays) comes from a
 // Watchdog slot: the local path shares one Watchdog across the sweep, the
@@ -76,7 +78,6 @@ struct SweepLimits {
 struct TaskOutcome {
   std::optional<perf::RunProfile> profile;
   std::optional<RunFailure> failure;  ///< recovered retry or permanent
-  std::optional<RunRecord> record;    ///< checkpoint row for the profile
   bool restored = false;
   /// Sweep-level stop observed before the task started: no attempt was
   /// made, no failure is recorded, and the core count stays pending so a
@@ -142,8 +143,9 @@ class Watchdog {
   std::thread thread_;
 };
 
-/// Checkpoint row for a completed profile — shared by the in-process and
-/// isolated attempt paths so both persist byte-identical records.
+/// Checkpoint row for a completed profile — built by the checkpoint
+/// writer from whichever path produced the profile, so every path
+/// persists byte-identical records.
 [[nodiscard]] RunRecord makeRunRecord(const perf::RunProfile& profile,
                                       int cores);
 

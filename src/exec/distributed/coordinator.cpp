@@ -111,28 +111,31 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
     }
   };
 
+  auto addIncident = [&report](RunFailureKind kind, const std::string& worker,
+                               const std::string& detail,
+                               std::optional<std::uint64_t> taskId) {
+    WorkerIncident& incident = report.incidents.emplace_back();
+    incident.failure.kind = kind;
+    incident.failure.attempts = 1;
+    incident.failure.error = detail;
+    incident.failure.worker = worker;
+    incident.taskId = taskId;
+  };
+
   auto loseWorker = [&](Connection& conn, const std::string& detail,
-                        WorkerIncident::Kind kind) {
+                        RunFailureKind kind) {
     conn.dead = true;
     const std::string name = conn.handshaken
                                  ? conn.workerId
                                  : "peer fd " + std::to_string(conn.fd);
-    if (conn.handshaken) {
-      const std::vector<std::uint64_t> torn =
-          leases.workerLeft(conn.workerId, nowMs());
-      for (std::uint64_t taskId : torn) {
-        WorkerIncident incident;
-        incident.kind = kind;
-        incident.worker = name;
-        incident.detail = detail;
-        incident.taskId = taskId;
-        report.incidents.push_back(std::move(incident));
-      }
-      if (torn.empty()) {
-        report.incidents.push_back({kind, name, detail, std::nullopt});
-      }
-    } else {
-      report.incidents.push_back({kind, name, detail, std::nullopt});
+    const std::vector<std::uint64_t> torn =
+        conn.handshaken ? leases.workerLeft(conn.workerId, nowMs())
+                        : std::vector<std::uint64_t>{};
+    for (std::uint64_t taskId : torn) {
+      addIncident(kind, name, detail, taskId);
+    }
+    if (torn.empty()) {
+      addIncident(kind, name, detail, std::nullopt);
     }
   };
 
@@ -154,7 +157,7 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
       conn.assigned.push_back(*taskId);
     } else {
       loseWorker(conn, "send failed: " + std::string("assign"),
-                 WorkerIncident::Kind::kWorkerLost);
+                 RunFailureKind::kWorkerLost);
     }
   };
 
@@ -174,7 +177,7 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
                              std::to_string(message.protocolVersion) +
                              " != " + std::to_string(kProtocolVersion));
         sendMessage(conn, reject);
-        loseWorker(conn, reject.reason, WorkerIncident::Kind::kHandshake);
+        loseWorker(conn, reject.reason, RunFailureKind::kHandshake);
         return;
       }
       // A reconnecting worker supersedes its old connection: the stale fd
@@ -197,7 +200,7 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
         if (taskId >= jobs.size()) {
           loseWorker(conn, "result for unknown task id " +
                                std::to_string(taskId),
-                     WorkerIncident::Kind::kFrameCorrupt);
+                     RunFailureKind::kFrameCorrupt);
           return;
         }
         conn.assigned.erase(
@@ -222,7 +225,7 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
       case WireMessage::Kind::kHello:
         // A second hello on a live session is a protocol violation.
         loseWorker(conn, "unexpected hello on an established session",
-                   WorkerIncident::Kind::kHandshake);
+                   RunFailureKind::kHandshake);
         break;
       default:
         // Coordinator-bound kinds only; anything else is noise from a
@@ -258,12 +261,8 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
     // Ticks: expiries and evictions, surfaced as worker-lost incidents.
     const LeaseTable::TickEvents events = leases.tick(now);
     for (const auto& [taskId, worker] : events.expired) {
-      WorkerIncident incident;
-      incident.kind = WorkerIncident::Kind::kWorkerLost;
-      incident.worker = worker;
-      incident.detail = "lease expired";
-      incident.taskId = taskId;
-      report.incidents.push_back(std::move(incident));
+      addIncident(RunFailureKind::kWorkerLost, worker, "lease expired",
+                  taskId);
       // Release the task from whichever connection still holds it. A
       // worker can be live and heartbeating while the assign (or its
       // result) was lost on the wire; without this, that connection
@@ -284,9 +283,8 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
           conn->dead = true;
         }
       }
-      report.incidents.push_back({WorkerIncident::Kind::kWorkerLost, worker,
-                                  "heartbeat timeout; worker evicted",
-                                  std::nullopt});
+      addIncident(RunFailureKind::kWorkerLost, worker,
+                  "heartbeat timeout; worker evicted", std::nullopt);
     }
     if (!events.expired.empty() || !events.evictedWorkers.empty()) {
       recordGauges(now);
@@ -300,7 +298,7 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
         if (!conn->dead && !conn->handshaken &&
             now >= conn->connectedAtMs + config.handshakeTimeoutMs) {
           loseWorker(*conn, "handshake timeout",
-                     WorkerIncident::Kind::kHandshake);
+                     RunFailureKind::kHandshake);
         }
       }
     }
@@ -320,7 +318,7 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
           conn->lastPingSentMs = now;
         } else {
           loseWorker(*conn, "send failed: ping",
-                     WorkerIncident::Kind::kWorkerLost);
+                     RunFailureKind::kWorkerLost);
         }
       }
       tryAssign(*conn);
@@ -407,23 +405,23 @@ CoordinatorReport runCoordinator(const CoordinatorConfig& config,
         }
         if (status == FrameTransport::RecvStatus::kClosed) {
           loseWorker(conn, "connection closed",
-                     WorkerIncident::Kind::kWorkerLost);
+                     RunFailureKind::kWorkerLost);
           break;
         }
         if (status == FrameTransport::RecvStatus::kCorrupt) {
           loseWorker(conn, conn.transport->lastError(),
-                     WorkerIncident::Kind::kFrameCorrupt);
+                     RunFailureKind::kFrameCorrupt);
           break;
         }
         if (status == FrameTransport::RecvStatus::kError) {
           loseWorker(conn, conn.transport->lastError(),
-                     WorkerIncident::Kind::kWorkerLost);
+                     RunFailureKind::kWorkerLost);
           break;
         }
         auto decoded = decodeMessage(payload);
         if (!decoded) {
           loseWorker(conn, decoded.error().message(),
-                     WorkerIncident::Kind::kFrameCorrupt);
+                     RunFailureKind::kFrameCorrupt);
           break;
         }
         handleMessage(conn, *decoded);

@@ -13,9 +13,10 @@
 // speculative or expired leases are counted and dropped).
 //
 // Failure taxonomy: everything the *fleet* does wrong is coordinator-
-// local and surfaces as a WorkerIncident (worker-lost / handshake /
-// frame-corrupt) — never on the wire, never conflated with the four ways
-// a run itself can fail.
+// local and surfaces as a WorkerIncident — the same RunFailure record a
+// failed run leaves, of kind worker-lost / handshake / frame-corrupt —
+// never on the wire, never conflated with the four ways a run itself
+// can fail.
 
 #include <cstdint>
 #include <functional>
@@ -31,17 +32,12 @@
 
 namespace occm::exec::dist {
 
-/// Coordinator-local failure evidence (the kinds analysis maps onto
-/// RunFailureKind::kWorkerLost / kHandshake / kFrameCorrupt).
+/// Coordinator-local failure evidence: a RunFailure of kind kWorkerLost
+/// (connection died / lease expired / worker evicted), kHandshake
+/// (version mismatch or malformed hello) or kFrameCorrupt (stream failed
+/// frame validation mid-session), with worker and error set.
 struct WorkerIncident {
-  enum class Kind : std::uint8_t {
-    kWorkerLost,    ///< connection died / lease expired / worker evicted
-    kHandshake,     ///< version mismatch or malformed hello
-    kFrameCorrupt,  ///< stream failed frame validation mid-session
-  };
-  Kind kind = Kind::kWorkerLost;
-  std::string worker;  ///< worker id, or "peer fd N" pre-handshake
-  std::string detail;
+  RunFailure failure;
   /// Task whose lease was lost, when the incident names one.
   std::optional<std::uint64_t> taskId;
 };

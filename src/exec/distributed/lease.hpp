@@ -100,10 +100,6 @@ class LeaseTable {
   /// task is already settled — the duplicate is counted and discarded.
   bool completeTask(std::uint64_t taskId);
 
-  /// Marks a task settled outside the fleet (restored from a checkpoint
-  /// before dispatch, or finished by the local fallback).
-  void settleLocal(std::uint64_t taskId);
-
   // -- clock ---------------------------------------------------------------
 
   struct TickEvents {
@@ -138,7 +134,7 @@ class LeaseTable {
   enum class TaskState : std::uint8_t {
     kPending,   ///< waiting for a worker (possibly backed off)
     kLeased,    ///< at least one live lease
-    kSettled,   ///< a valid result (or local settle) landed
+    kSettled,   ///< a valid result landed
     kAbandoned  ///< exhausted maxExpiries; reported as worker-lost
   };
 

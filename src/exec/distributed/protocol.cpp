@@ -185,7 +185,7 @@ JobSpec readJob(Reader& in) {
   return job;
 }
 
-void putFailure(std::string& out, const TaskFailure& failure) {
+void putFailure(std::string& out, const RunFailure& failure) {
   putU8(out, static_cast<std::uint8_t>(failure.kind));
   putI32(out, failure.attempts);
   putBool(out, failure.recovered);
@@ -195,11 +195,12 @@ void putFailure(std::string& out, const TaskFailure& failure) {
   putString(out, failure.stderrTail);
 }
 
-TaskFailure readFailure(Reader& in) {
-  TaskFailure failure;
-  failure.kind = static_cast<WireFailureKind>(readEnum(
-      in, "failure kind",
-      static_cast<std::uint8_t>(WireFailureKind::kCrash)));
+RunFailure readFailure(Reader& in) {
+  RunFailure failure;
+  // Only the four run outcomes; the coordinator-local kinds above kCrash
+  // never come off the wire.
+  failure.kind = static_cast<RunFailureKind>(readEnum(
+      in, "failure kind", static_cast<std::uint8_t>(RunFailureKind::kCrash)));
   failure.attempts = in.i32();
   failure.recovered = readBool(in, "recovered");
   failure.error = in.str();
@@ -211,25 +212,23 @@ TaskFailure readFailure(Reader& in) {
 
 void putResult(std::string& out, const TaskResult& result) {
   putU64(out, result.taskId);
-  putBool(out, result.hasProfile);
-  if (result.hasProfile) {
-    wire::putProfile(out, result.profile);
+  putBool(out, result.profile.has_value());
+  if (result.profile.has_value()) {
+    wire::putProfile(out, *result.profile);
   }
-  putBool(out, result.hasFailure);
-  if (result.hasFailure) {
-    putFailure(out, result.failure);
+  putBool(out, result.failure.has_value());
+  if (result.failure.has_value()) {
+    putFailure(out, *result.failure);
   }
 }
 
 TaskResult readResult(Reader& in) {
   TaskResult result;
   result.taskId = in.u64();
-  result.hasProfile = readBool(in, "has-profile");
-  if (in.ok() && result.hasProfile) {
+  if (readBool(in, "has-profile") && in.ok()) {
     result.profile = wire::readProfile(in);
   }
-  result.hasFailure = readBool(in, "has-failure");
-  if (in.ok() && result.hasFailure) {
+  if (readBool(in, "has-failure") && in.ok()) {
     result.failure = readFailure(in);
   }
   return result;

@@ -15,10 +15,12 @@
 // as its canonical JSON. The analysis glue (analysis/distributed_sweep)
 // maps JobSpec <-> SweepConfig and injects the task runner.
 //
-// The wire failure enum has exactly the four kinds a *run* can produce
-// (exception / timeout / cancelled / crash). Coordinator-local outcomes —
-// a worker that died mid-lease, a handshake that failed, a corrupt frame
-// — are never on the wire; the coordinator synthesizes them itself.
+// A failed run travels as exec::RunFailure (exec/run_failure), the one
+// outcome record every execution path fills. The decoder accepts only the
+// four kinds a *run* can produce (exception / timeout / cancelled /
+// crash). Coordinator-local outcomes — a worker that died mid-lease, a
+// handshake that failed, a corrupt frame — are never on the wire; the
+// coordinator records them itself.
 //
 // Versioned handshake: a worker opens with kHello carrying
 // kProtocolVersion; the coordinator answers kWelcome (same version) or
@@ -27,11 +29,13 @@
 // typed IpcError, never a throw (fuzz/fuzz_wire_message.cpp).
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
 #include "common/expected.hpp"
 #include "common/types.hpp"
+#include "exec/run_failure.hpp"
 #include "exec/wire_codec.hpp"
 #include "perf/run_profile.hpp"
 #include "topology/machine_spec.hpp"
@@ -75,33 +79,13 @@ struct JobSpec {
   std::string faultPlanJson;
 };
 
-/// The four ways a run itself can fail (mirrors the retained subset of
-/// analysis::RunFailureKind; coordinator-local kinds never appear here).
-enum class WireFailureKind : std::uint8_t {
-  kException = 0,
-  kTimeout = 1,
-  kCancelled = 2,
-  kCrash = 3,
-};
-
-struct TaskFailure {
-  WireFailureKind kind = WireFailureKind::kException;
-  int attempts = 0;
-  bool recovered = false;
-  std::string error;
-  int signal = 0;       ///< kCrash only
-  std::string rlimit;   ///< kCrash only
-  std::string stderrTail;  ///< kCrash only
-};
-
 /// What a worker reports for one finished task: a profile, a failure
-/// record, or both (a recovered retry has a failure *and* a profile).
+/// record, or both (a recovered retry has a failure *and* a profile). The
+/// failure's cores, poolSize and worker are not on the wire.
 struct TaskResult {
   std::uint64_t taskId = 0;
-  bool hasProfile = false;
-  perf::RunProfile profile;
-  bool hasFailure = false;
-  TaskFailure failure;
+  std::optional<perf::RunProfile> profile;
+  std::optional<RunFailure> failure;
 };
 
 /// One frame payload in either direction. A tagged union kept flat (the

@@ -72,13 +72,10 @@ class TaskThread {
       TaskResult result;
       try {
         result = runTask_(job);
-      } catch (const std::exception& e) {
+      } catch (...) {
         // The runner promised not to throw; keep the contract for it.
-        result.taskId = job.taskId;
-        result.hasFailure = true;
-        result.failure.kind = WireFailureKind::kException;
-        result.failure.attempts = 1;
-        result.failure.error = e.what();
+        result.failure = failureFromException(std::current_exception());
+        result.failure->attempts = 1;
       }
       result.taskId = job.taskId;
       lock.lock();

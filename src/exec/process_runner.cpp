@@ -31,23 +31,6 @@ namespace occm::exec {
 
 bool processIsolationSupported() noexcept { return OCCM_HAS_FORK != 0; }
 
-dist::TaskFailure failureFromException(std::exception_ptr error) {
-  dist::TaskFailure failure;
-  try {
-    std::rethrow_exception(error);
-  } catch (const RunAborted& aborted) {
-    failure.kind = aborted.reason() == AbortReason::kCycleBudget
-                       ? dist::WireFailureKind::kTimeout
-                       : dist::WireFailureKind::kCancelled;
-    failure.error = aborted.what();
-  } catch (const std::exception& e) {
-    failure.error = e.what();
-  } catch (...) {
-    failure.error = "unknown exception escaped the run";
-  }
-  return failure;
-}
-
 #if OCCM_HAS_FORK
 
 namespace {
@@ -100,9 +83,7 @@ void applyLimit(int resource, std::uint64_t value) {
   message.kind = dist::WireMessage::Kind::kResult;
   try {
     message.result.profile = work();
-    message.result.hasProfile = true;
   } catch (...) {
-    message.result.hasFailure = true;
     message.result.failure = failureFromException(std::current_exception());
   }
   // A failed write leaves a clean exit without a frame, which the
@@ -169,7 +150,8 @@ Expected<dist::TaskResult, std::string> framedResult(
                           message.error().message());
   }
   if (message->kind != dist::WireMessage::Kind::kResult ||
-      message->result.hasProfile == message->result.hasFailure) {
+      message->result.profile.has_value() ==
+          message->result.failure.has_value()) {
     return makeUnexpected(
         std::string("its frame is not a profile-or-failure result"));
   }
@@ -323,8 +305,7 @@ dist::TaskResult runInChild(const std::function<perf::RunProfile()>& work,
   }
 
   dist::TaskResult result;
-  result.hasFailure = true;
-  dist::TaskFailure& failure = result.failure;
+  RunFailure& failure = result.failure.emplace();
   const bool exited = WIFEXITED(status);
   const bool signalled = WIFSIGNALED(status);
   const int exitCode = exited ? WEXITSTATUS(status) : -1;
@@ -337,20 +318,20 @@ dist::TaskResult runInChild(const std::function<perf::RunProfile()>& work,
     if (framed) {
       return std::move(*framed);
     }
-    failure.kind = dist::WireFailureKind::kCrash;
+    failure.kind = RunFailureKind::kCrash;
     failure.stderrTail = sanitizeTail(tail);
     failure.error = "child exited cleanly but " + framed.error();
     return result;
   }
 
   if (killedByUs) {
-    failure.kind = dist::WireFailureKind::kCancelled;
+    failure.kind = RunFailureKind::kCancelled;
     failure.error = "isolated run killed by the supervisor "
                     "(cancellation or deadline)";
     return result;
   }
 
-  failure.kind = dist::WireFailureKind::kCrash;
+  failure.kind = RunFailureKind::kCrash;
   failure.signal = deathSignal;
   failure.stderrTail = sanitizeTail(tail);
   if (deathSignal == SIGXCPU) {

@@ -26,7 +26,6 @@
 //    SIGABRT.
 
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <string>
 
@@ -52,12 +51,6 @@ struct ProcessRunnerConfig {
   /// SIGKILLs the child and reports kCancelled.
   CancellationToken cancel;
 };
-
-/// The failure a caught exception stands for: RunAborted on the cycle
-/// budget is kTimeout, any other RunAborted kCancelled, and everything
-/// else kException with what(). Shared by the forked child and the
-/// in-process attempt loop, so both classify a throw identically.
-[[nodiscard]] dist::TaskFailure failureFromException(std::exception_ptr error);
 
 /// True when this platform supports fork-based isolation (POSIX).
 [[nodiscard]] bool processIsolationSupported() noexcept;

@@ -254,8 +254,8 @@ void expectCrashThenResumeConverges(bool withFaults, int workers) {
 
   // The crash record is persisted with its forensics, exactly like an
   // exception record — resumable evidence, not a lifecycle footnote.
-  const auto ckpt = SweepCheckpoint::load(path);
-  ASSERT_TRUE(ckpt.has_value());
+  const auto ckpt = SweepCheckpoint::loadChecked(path);
+  ASSERT_TRUE(ckpt.hasValue());
   ASSERT_EQ(ckpt->failures.size(), 1u);
   EXPECT_EQ(ckpt->failures[0].kind, RunFailureKind::kCrash);
   EXPECT_EQ(ckpt->failures[0].cores, 3);

@@ -205,10 +205,10 @@ TEST(ParallelSweepCheckpoint, FinalCheckpointFileIsPoolSizeInvariant) {
   config.checkpointPath = parallelPath;
   (void)runSweep(config);
 
-  const auto serialCkpt = SweepCheckpoint::load(serialPath);
-  const auto parallelCkpt = SweepCheckpoint::load(parallelPath);
-  ASSERT_TRUE(serialCkpt.has_value());
-  ASSERT_TRUE(parallelCkpt.has_value());
+  const auto serialCkpt = SweepCheckpoint::loadChecked(serialPath);
+  const auto parallelCkpt = SweepCheckpoint::loadChecked(parallelPath);
+  ASSERT_TRUE(serialCkpt.hasValue());
+  ASSERT_TRUE(parallelCkpt.hasValue());
   EXPECT_EQ(parallelCkpt->toJson(), serialCkpt->toJson());
 
   std::filesystem::remove(serialPath);

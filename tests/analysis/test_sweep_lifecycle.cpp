@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -148,16 +149,23 @@ TEST(SweepLifecycle, WallDeadlineMarksOverrunningRunAsTimeout) {
     SweepConfig config = presetConfig(topology::testNuma4(), false);
     config.parallel.workers = 1;
     config.isolation.enabled = isolated;
-    // The deadline must comfortably exceed a healthy run's wall time (a
-    // few hundred ms here, a few seconds under sanitizers) while the
-    // 2-core attempt stalls well past it inside beforeRun — by the time
-    // that run reaches the simulator's first cancellation point (or its
-    // fork), the watchdog has long since fired. No tight timing on
-    // either side.
-    config.limits.wallSeconds = 3.0;
-    config.beforeRun = [](int cores, int /*attempt*/) {
+    // The deadline must exceed every healthy run's wall time on this
+    // build and host (a few hundred ms optimised, seconds under
+    // sanitizers), so it is the measured wall time of a whole
+    // deadline-free sweep of the same config, and at least 3 s. The 2-core
+    // attempt stalls 1.5x that inside beforeRun — by the time that run
+    // reaches the simulator's first cancellation point (or its fork), the
+    // watchdog has long since fired. No tight timing on either side.
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_EQ(runSweep(config).profiles.size(), 4u);
+    const std::chrono::duration<double> healthy =
+        std::chrono::steady_clock::now() - start;
+    config.limits.wallSeconds = std::max(3.0, healthy.count());
+    const std::chrono::duration<double> stall(1.5 *
+                                              config.limits.wallSeconds);
+    config.beforeRun = [stall](int cores, int /*attempt*/) {
       if (cores == 2) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(4500));
+        std::this_thread::sleep_for(stall);
       }
     };
     const SweepResult sweep = runSweep(config);

@@ -59,9 +59,7 @@ std::vector<std::string> wirePayloads() {
   WireMessage result;
   result.kind = WireMessage::Kind::kResult;
   result.result.taskId = 3;
-  result.result.hasFailure = true;
-  result.result.failure.kind = WireFailureKind::kException;
-  result.result.failure.error = "chaos ate my homework";
+  result.result.failure.emplace().error = "chaos ate my homework";
   payloads.push_back(encodeMessage(result));
 
   WireMessage ping;

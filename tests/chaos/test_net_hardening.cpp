@@ -76,9 +76,7 @@ exec::dist::TaskRunner trivialRunner() {
   return [](const exec::dist::JobSpec& job) {
     exec::dist::TaskResult result;
     result.taskId = job.taskId;
-    result.hasFailure = true;
-    result.failure.kind = exec::dist::WireFailureKind::kException;
-    result.failure.error = "synthetic result";
+    result.failure.emplace().error = "synthetic result";
     return result;
   };
 }
@@ -121,8 +119,9 @@ TEST(NetHardening, CoordinatorDropsSilentHalfOpenConnections) {
   ASSERT_EQ(report.settledTasks.size(), 1u);
   bool sawHandshakeIncident = false;
   for (const exec::dist::WorkerIncident& incident : report.incidents) {
-    if (incident.kind == exec::dist::WorkerIncident::Kind::kHandshake &&
-        incident.detail.find("handshake timeout") != std::string::npos) {
+    if (incident.failure.kind == exec::RunFailureKind::kHandshake &&
+        incident.failure.error.find("handshake timeout") !=
+            std::string::npos) {
       sawHandshakeIncident = true;
     }
   }

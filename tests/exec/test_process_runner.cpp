@@ -151,19 +151,20 @@ TEST(ProcessRunner, IsolationIsSupportedOnThisPlatform) {
 TEST(ProcessRunner, ShipsProfileBackBitExact) {
   const dist::TaskResult result =
       runInChild([] { return sampleProfile(); });
-  ASSERT_TRUE(result.hasProfile) << result.failure.error;
-  EXPECT_FALSE(result.hasFailure);
-  expectProfilesEq(result.profile, sampleProfile());
+  ASSERT_TRUE(result.profile.has_value())
+      << result.failure.value_or(RunFailure{}).error;
+  EXPECT_FALSE(result.failure.has_value());
+  expectProfilesEq(*result.profile, sampleProfile());
 }
 
 TEST(ProcessRunner, PropagatesExceptionsAsData) {
   const dist::TaskResult result = runInChild([]() -> perf::RunProfile {
     throw std::runtime_error("boom in the child");
   });
-  ASSERT_TRUE(result.hasFailure);
-  EXPECT_FALSE(result.hasProfile);
-  EXPECT_EQ(result.failure.kind, dist::WireFailureKind::kException);
-  EXPECT_NE(result.failure.error.find("boom in the child"),
+  ASSERT_TRUE(result.failure.has_value());
+  EXPECT_FALSE(result.profile.has_value());
+  EXPECT_EQ(result.failure->kind, RunFailureKind::kException);
+  EXPECT_NE(result.failure->error.find("boom in the child"),
             std::string::npos);
 }
 
@@ -173,16 +174,16 @@ TEST(ProcessRunner, PropagatesRunAbortedAsData) {
   dist::TaskResult result = runInChild([]() -> perf::RunProfile {
     throw RunAborted(AbortReason::kCycleBudget, 4242, "over budget");
   });
-  ASSERT_TRUE(result.hasFailure);
-  EXPECT_EQ(result.failure.kind, dist::WireFailureKind::kTimeout);
-  EXPECT_NE(result.failure.error.find("over budget"), std::string::npos);
+  ASSERT_TRUE(result.failure.has_value());
+  EXPECT_EQ(result.failure->kind, RunFailureKind::kTimeout);
+  EXPECT_NE(result.failure->error.find("over budget"), std::string::npos);
 
   result = runInChild([]() -> perf::RunProfile {
     throw RunAborted(AbortReason::kCancelled, 7, "stop requested");
   });
-  ASSERT_TRUE(result.hasFailure);
-  EXPECT_EQ(result.failure.kind, dist::WireFailureKind::kCancelled);
-  EXPECT_NE(result.failure.error.find("stop requested"), std::string::npos);
+  ASSERT_TRUE(result.failure.has_value());
+  EXPECT_EQ(result.failure->kind, RunFailureKind::kCancelled);
+  EXPECT_NE(result.failure->error.find("stop requested"), std::string::npos);
 }
 
 TEST(ProcessRunner, ReportsSigkillDeath) {
@@ -192,12 +193,12 @@ TEST(ProcessRunner, ReportsSigkillDeath) {
     std::raise(SIGKILL);
     return {};
   });
-  ASSERT_TRUE(result.hasFailure);
-  EXPECT_EQ(result.failure.kind, dist::WireFailureKind::kCrash);
-  EXPECT_EQ(result.failure.signal, SIGKILL);
-  EXPECT_TRUE(result.failure.rlimit.empty()) << result.failure.rlimit;
-  EXPECT_NE(result.failure.error.find("SIGKILL"), std::string::npos)
-      << result.failure.error;
+  ASSERT_TRUE(result.failure.has_value());
+  EXPECT_EQ(result.failure->kind, RunFailureKind::kCrash);
+  EXPECT_EQ(result.failure->signal, SIGKILL);
+  EXPECT_TRUE(result.failure->rlimit.empty()) << result.failure->rlimit;
+  EXPECT_NE(result.failure->error.find("SIGKILL"), std::string::npos)
+      << result.failure->error;
 }
 
 TEST(ProcessRunner, ReportsSegfaultDeath) {
@@ -207,11 +208,11 @@ TEST(ProcessRunner, ReportsSegfaultDeath) {
     *target = 42;
     return {};
   });
-  ASSERT_TRUE(result.hasFailure);
-  EXPECT_EQ(result.failure.kind, dist::WireFailureKind::kCrash)
-      << result.failure.error;
+  ASSERT_TRUE(result.failure.has_value());
+  EXPECT_EQ(result.failure->kind, RunFailureKind::kCrash)
+      << result.failure->error;
 #if !OCCM_UNDER_SANITIZER
-  EXPECT_EQ(result.failure.signal, SIGSEGV) << result.failure.error;
+  EXPECT_EQ(result.failure->signal, SIGSEGV) << result.failure->error;
 #endif
 }
 
@@ -220,16 +221,16 @@ TEST(ProcessRunner, ReportsAbortDeath) {
     std::fprintf(stderr, "dying on purpose\n");
     std::abort();
   });
-  ASSERT_TRUE(result.hasFailure);
-  EXPECT_EQ(result.failure.kind, dist::WireFailureKind::kCrash);
+  ASSERT_TRUE(result.failure.has_value());
+  EXPECT_EQ(result.failure->kind, RunFailureKind::kCrash);
 #if !OCCM_UNDER_SANITIZER
-  EXPECT_EQ(result.failure.signal, SIGABRT) << result.failure.error;
+  EXPECT_EQ(result.failure->signal, SIGABRT) << result.failure->error;
 #endif
   // abort() without the OOM marker must not read as a memory-budget kill.
-  EXPECT_TRUE(result.failure.rlimit.empty()) << result.failure.rlimit;
-  EXPECT_NE(result.failure.stderrTail.find("dying on purpose"),
+  EXPECT_TRUE(result.failure->rlimit.empty()) << result.failure->rlimit;
+  EXPECT_NE(result.failure->stderrTail.find("dying on purpose"),
             std::string::npos)
-      << result.failure.stderrTail;
+      << result.failure->stderrTail;
 }
 
 TEST(ProcessRunner, FramelessCleanExitIsACrash) {
@@ -240,16 +241,16 @@ TEST(ProcessRunner, FramelessCleanExitIsACrash) {
     std::fflush(stderr);
     ::_exit(0);
   });
-  ASSERT_TRUE(result.hasFailure);
-  EXPECT_FALSE(result.hasProfile);
-  EXPECT_EQ(result.failure.kind, dist::WireFailureKind::kCrash)
-      << result.failure.error;
-  EXPECT_EQ(result.failure.signal, 0);
-  EXPECT_NE(result.failure.error.find("exited cleanly"), std::string::npos)
-      << result.failure.error;
-  EXPECT_NE(result.failure.stderrTail.find("leaving without a word"),
+  ASSERT_TRUE(result.failure.has_value());
+  EXPECT_FALSE(result.profile.has_value());
+  EXPECT_EQ(result.failure->kind, RunFailureKind::kCrash)
+      << result.failure->error;
+  EXPECT_EQ(result.failure->signal, 0);
+  EXPECT_NE(result.failure->error.find("exited cleanly"), std::string::npos)
+      << result.failure->error;
+  EXPECT_NE(result.failure->stderrTail.find("leaving without a word"),
             std::string::npos)
-      << result.failure.stderrTail;
+      << result.failure->stderrTail;
 }
 
 TEST(ProcessRunner, MemoryBudgetDeathIsClassifiedAsAddressSpace) {
@@ -269,13 +270,13 @@ TEST(ProcessRunner, MemoryBudgetDeathIsClassifiedAsAddressSpace) {
         }
       },
       config);
-  ASSERT_TRUE(result.hasFailure);
-  EXPECT_EQ(result.failure.kind, dist::WireFailureKind::kCrash)
-      << result.failure.error;
-  EXPECT_EQ(result.failure.rlimit, "address-space") << result.failure.error;
-  EXPECT_NE(result.failure.stderrTail.find(fault::kOutOfMemoryMarker),
+  ASSERT_TRUE(result.failure.has_value());
+  EXPECT_EQ(result.failure->kind, RunFailureKind::kCrash)
+      << result.failure->error;
+  EXPECT_EQ(result.failure->rlimit, "address-space") << result.failure->error;
+  EXPECT_NE(result.failure->stderrTail.find(fault::kOutOfMemoryMarker),
             std::string::npos)
-      << result.failure.stderrTail;
+      << result.failure->stderrTail;
 #endif
 }
 
@@ -292,9 +293,9 @@ TEST(ProcessRunner, StderrTailKeepsLastBytesSanitized) {
         std::abort();
       },
       config);
-  ASSERT_TRUE(result.hasFailure);
-  EXPECT_EQ(result.failure.kind, dist::WireFailureKind::kCrash);
-  const std::string& tail = result.failure.stderrTail;
+  ASSERT_TRUE(result.failure.has_value());
+  EXPECT_EQ(result.failure->kind, RunFailureKind::kCrash);
+  const std::string& tail = result.failure->stderrTail;
   EXPECT_LE(tail.size(), 64u);
   // The tail keeps the *last* bytes written...
   EXPECT_NE(tail.find("the final words"), std::string::npos) << tail;
@@ -321,14 +322,14 @@ TEST(ProcessRunner, SupervisorKillsChildWhenTokenFires) {
       },
       config);
   trigger.join();
-  ASSERT_TRUE(result.hasFailure);
+  ASSERT_TRUE(result.failure.has_value());
   // The supervisor's own kill is a cancellation, not a crash: the caller
   // decides whether a deadline made it a timeout, and a cancellation
   // carries no crash evidence.
-  EXPECT_EQ(result.failure.kind, dist::WireFailureKind::kCancelled)
-      << result.failure.error;
-  EXPECT_EQ(result.failure.signal, 0);
-  EXPECT_TRUE(result.failure.stderrTail.empty());
+  EXPECT_EQ(result.failure->kind, RunFailureKind::kCancelled)
+      << result.failure->error;
+  EXPECT_EQ(result.failure->signal, 0);
+  EXPECT_TRUE(result.failure->stderrTail.empty());
 }
 
 }  // namespace

@@ -158,8 +158,8 @@ TEST(FaultResilience, CheckpointJsonRoundTrips) {
   ckpt.failures.push_back({3, 2, "synthetic \"quoted\" crash\n", true, 1,
                            RunFailureKind::kException, 0, "", "", ""});
 
-  const auto parsed = SweepCheckpoint::parse(ckpt.toJson());
-  ASSERT_TRUE(parsed.has_value());
+  const auto parsed = SweepCheckpoint::parseChecked(ckpt.toJson());
+  ASSERT_TRUE(parsed.hasValue());
   EXPECT_TRUE(parsed->matches("CG.S", "testNuma4",
                               0xDEADBEEFCAFEF00DULL, 4));
   ASSERT_EQ(parsed->runs.size(), 2u);
@@ -170,8 +170,9 @@ TEST(FaultResilience, CheckpointJsonRoundTrips) {
   EXPECT_EQ(parsed->failures[0].error, "synthetic \"quoted\" crash\n");
   EXPECT_TRUE(parsed->failures[0].recovered);
 
-  EXPECT_FALSE(SweepCheckpoint::parse("not json").has_value());
-  EXPECT_FALSE(SweepCheckpoint::parse("{\"program\": 3}").has_value());
+  EXPECT_FALSE(SweepCheckpoint::parseChecked("not json").hasValue());
+  EXPECT_FALSE(
+      SweepCheckpoint::parseChecked("{\"program\": 3}").hasValue());
 }
 
 }  // namespace
