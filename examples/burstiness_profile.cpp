@@ -1,12 +1,14 @@
 // Burstiness profile: sample a workload's off-chip traffic with the 5 us
 // miss sampler and classify it (the paper's section III-B.2 methodology).
 //
-// Usage: burstiness_profile [program] [class...]
+// Usage: burstiness_profile [program [class...]]
 //   e.g. burstiness_profile CG S C
 //        burstiness_profile x264 simsmall native
-// Defaults to CG with all five NPB classes.
+// Defaults to CG; with no class given, runs every class of the program.
+// An unknown program or class prints the usage and exits 2.
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -17,53 +19,56 @@ namespace {
 
 using namespace occm;
 
-workloads::Program parseProgram(const std::string& name) {
-  using workloads::Program;
-  if (name == "EP") return Program::kEP;
-  if (name == "IS") return Program::kIS;
-  if (name == "FT") return Program::kFT;
-  if (name == "CG") return Program::kCG;
-  if (name == "SP") return Program::kSP;
-  if (name == "x264") return Program::kX264;
-  std::fprintf(stderr, "unknown program '%s'\n", name.c_str());
-  std::exit(1);
-}
-
-workloads::ProblemClass parseClass(const std::string& name) {
-  using workloads::ProblemClass;
-  if (name == "S") return ProblemClass::kS;
-  if (name == "W") return ProblemClass::kW;
-  if (name == "A") return ProblemClass::kA;
-  if (name == "B") return ProblemClass::kB;
-  if (name == "C") return ProblemClass::kC;
-  if (name == "simsmall") return ProblemClass::kSimSmall;
-  if (name == "simmedium") return ProblemClass::kSimMedium;
-  if (name == "simlarge") return ProblemClass::kSimLarge;
-  if (name == "native") return ProblemClass::kNative;
-  std::fprintf(stderr, "unknown class '%s'\n", name.c_str());
-  std::exit(1);
+void usage(std::FILE* to, const char* argv0) {
+  std::fprintf(to,
+               "usage: %s [PROGRAM [CLASS...]]\n"
+               "  PROGRAM  EP, IS, FT, CG, SP or x264 (default CG)\n"
+               "  CLASS    S, W, A, B or C for the NPB programs; simsmall,\n"
+               "           simmedium, simlarge or native for x264 (default:\n"
+               "           every class of the program)\n",
+               argv0);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  using workloads::ProblemClass;
+  const auto die = [&](const std::string& why) {
+    std::fprintf(stderr, "error: %s\n", why.c_str());
+    usage(stderr, argv[0]);
+    std::exit(2);
+  };
   workloads::Program program = workloads::Program::kCG;
-  std::vector<workloads::ProblemClass> classes = {
-      workloads::ProblemClass::kS, workloads::ProblemClass::kW,
-      workloads::ProblemClass::kA, workloads::ProblemClass::kB,
-      workloads::ProblemClass::kC};
   if (argc > 1) {
-    program = parseProgram(argv[1]);
-    if (argc > 2) {
-      classes.clear();
-      for (int i = 2; i < argc; ++i) {
-        classes.push_back(parseClass(argv[i]));
+    const std::string arg = argv[1];
+    if (arg == "--help" || arg == "-h") {
+      usage(stdout, argv[0]);
+      return 0;
+    }
+    const auto parsed = workloads::parseProgram(arg);
+    if (!parsed) {
+      die("unknown program \"" + arg + "\"");
+    }
+    program = *parsed;
+  }
+  std::vector<ProblemClass> classes;
+  for (int i = 2; i < argc; ++i) {
+    const auto cls = workloads::parseProblemClass(argv[i]);
+    if (!cls || !workloads::classValidFor(program, *cls)) {
+      die("unknown class \"" + std::string(argv[i]) + "\" for " +
+          workloads::programName(program));
+    }
+    classes.push_back(*cls);
+  }
+  if (classes.empty()) {
+    for (ProblemClass cls :
+         {ProblemClass::kS, ProblemClass::kW, ProblemClass::kA,
+          ProblemClass::kB, ProblemClass::kC, ProblemClass::kSimSmall,
+          ProblemClass::kSimMedium, ProblemClass::kSimLarge,
+          ProblemClass::kNative}) {
+      if (workloads::classValidFor(program, cls)) {
+        classes.push_back(cls);
       }
-    } else if (program == workloads::Program::kX264) {
-      classes = {workloads::ProblemClass::kSimSmall,
-                 workloads::ProblemClass::kSimMedium,
-                 workloads::ProblemClass::kSimLarge,
-                 workloads::ProblemClass::kNative};
     }
   }
 

@@ -17,6 +17,7 @@
 
 #include "analysis/advisor.hpp"
 #include "core/occm.hpp"
+#include "flag_value.hpp"
 #include "topology/presets.hpp"
 
 namespace {
@@ -106,23 +107,11 @@ int main(int argc, char** argv) {
     usage(stderr, argv[0]);
     return 2;
   }
-  const std::size_t dot = args.workload.find('.');
-  const auto program = workloads::parseProgram(
-      dot == std::string::npos ? args.workload : args.workload.substr(0, dot));
-  const auto problemClass = workloads::parseProblemClass(
-      dot == std::string::npos ? "" : args.workload.substr(dot + 1));
-  if (!program.has_value() || !problemClass.has_value() ||
-      !workloads::classValidFor(*program, *problemClass)) {
-    std::fprintf(stderr, "error: unknown workload \"%s\"\n",
-                 args.workload.c_str());
-    usage(stderr, argv[0]);
-    return 2;
-  }
 
   analysis::AdvisorFitConfig config;
   config.machine = *machine;
-  config.workload.program = *program;
-  config.workload.problemClass = *problemClass;
+  config.workload = examples::workloadValue(
+      args.workload, [&] { usage(stderr, argv[0]); });
   config.workers = args.workers;
 
   const model::MachineShape shape = model::shapeOf(*machine);

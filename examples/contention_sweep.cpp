@@ -64,33 +64,6 @@ occm::CancellationSource gStop;
 
 extern "C" void onSigint(int /*signum*/) { gStop.requestStop(); }
 
-occm::workloads::Program parseProgram(const std::string& name) {
-  using occm::workloads::Program;
-  if (name == "EP") return Program::kEP;
-  if (name == "IS") return Program::kIS;
-  if (name == "FT") return Program::kFT;
-  if (name == "CG") return Program::kCG;
-  if (name == "SP") return Program::kSP;
-  if (name == "x264") return Program::kX264;
-  std::fprintf(stderr, "unknown program '%s'\n", name.c_str());
-  std::exit(1);
-}
-
-occm::workloads::ProblemClass parseClass(const std::string& name) {
-  using occm::workloads::ProblemClass;
-  if (name == "S") return ProblemClass::kS;
-  if (name == "W") return ProblemClass::kW;
-  if (name == "A") return ProblemClass::kA;
-  if (name == "B") return ProblemClass::kB;
-  if (name == "C") return ProblemClass::kC;
-  if (name == "simsmall") return ProblemClass::kSimSmall;
-  if (name == "simmedium") return ProblemClass::kSimMedium;
-  if (name == "simlarge") return ProblemClass::kSimLarge;
-  if (name == "native") return ProblemClass::kNative;
-  std::fprintf(stderr, "unknown problem class '%s'\n", name.c_str());
-  std::exit(1);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -220,13 +193,7 @@ int main(int argc, char** argv) {
       chaos.plan = std::move(*plan);
       continue;
     }
-    const auto dot = arg.find('.');
-    if (dot == std::string::npos) {
-      usage();
-      return 2;
-    }
-    workload.program = parseProgram(arg.substr(0, dot));
-    workload.problemClass = parseClass(arg.substr(dot + 1));
+    workload = examples::workloadValue(arg, usage);
   }
 
   std::signal(SIGINT, onSigint);

@@ -1,9 +1,9 @@
 #pragma once
 
-// Strict numeric flag values for the example drivers: "--workers=abc",
-// "--deadline=x" or "--listen=80x" is a usage error (exit 2), like the
-// bench drivers' parseBenchArgs, instead of silently running on as 1, 0
-// or 80.
+// Strict flag values for the example drivers: "--workers=abc",
+// "--deadline=x", "--listen=80x" or an unknown workload such as "XX.S" is
+// a usage error (exit 2), like the bench drivers' parseBenchArgs, instead
+// of silently running on as 1, 0 or 80.
 
 #include <charconv>
 #include <cstdio>
@@ -11,6 +11,8 @@
 #include <string>
 #include <string_view>
 #include <system_error>
+
+#include "workloads/workload.hpp"
 
 namespace occm::examples {
 
@@ -32,6 +34,28 @@ T flagValue(const std::string& arg, const Usage& usage,
     std::exit(2);
   }
   return value;
+}
+
+/// "PROG.CLASS" in the paper's notation ("CG.C", "x264.native") as the
+/// spec of a program and a class valid for it. Anything else prints the
+/// error and `usage()` to stderr and exits 2.
+template <typename Usage>
+workloads::WorkloadSpec workloadValue(const std::string& arg,
+                                      const Usage& usage) {
+  const std::size_t dot = arg.find('.');
+  if (dot != std::string::npos) {
+    const auto program = workloads::parseProgram(arg.substr(0, dot));
+    const auto cls = workloads::parseProblemClass(arg.substr(dot + 1));
+    if (program && cls && workloads::classValidFor(*program, *cls)) {
+      return {.program = *program, .problemClass = *cls};
+    }
+  }
+  std::fprintf(stderr,
+               "error: unknown workload \"%s\" (want PROG.CLASS, e.g. CG.C "
+               "or x264.native)\n",
+               arg.c_str());
+  usage();
+  std::exit(2);
 }
 
 }  // namespace occm::examples
