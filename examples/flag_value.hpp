@@ -2,7 +2,7 @@
 
 // Strict flag values for the example drivers: "--workers=abc",
 // "--deadline=x", "--listen=80x" or an unknown workload such as "XX.S" is
-// a usage error (exit 2), like the bench drivers' parseBenchArgs, instead
+// a usage error (exit 2), like bench/paper's parseBenchArgs, instead
 // of silently running on as 1, 0 or 80.
 
 #include <charconv>

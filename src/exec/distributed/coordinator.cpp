@@ -12,19 +12,13 @@
 #include <map>
 #include <memory>
 
+#include "common/clock.hpp"
 #include "common/error.hpp"
 #include "exec/frame_transport.hpp"
 
 namespace occm::exec::dist {
 
 namespace {
-
-std::uint64_t steadyNowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// One connected peer, wrapped in its framed transport (the injection
 /// point for the chaos layer). Sends are small (the largest frame is one

@@ -4,8 +4,9 @@
 #include <cstdlib>
 #include <utility>
 
+#include "common/clock.hpp"
 #include "common/error.hpp"
-#include "obs/profiler.hpp"
+#include "obs/run_trace.hpp"
 
 namespace occm::exec {
 
@@ -56,7 +57,7 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
     const std::lock_guard<std::mutex> lock(mutex_);
     Entry entry{std::move(packaged), 0};
     if constexpr (obs::kCompiledIn) {
-      entry.enqueueNs = obs::steadyNowNs();
+      entry.enqueueNs = steadyNowNs();
       ++submitted_;
     }
     queue_.push_back(std::move(entry));
@@ -100,12 +101,12 @@ void ThreadPool::workerLoop(std::size_t slot) {
     }
     if constexpr (obs::kCompiledIn) {
       WorkerSlot& mine = slots_[slot];
-      const std::uint64_t startNs = obs::steadyNowNs();
+      const std::uint64_t startNs = steadyNowNs();
       mine.queueWaitNs.fetch_add(startNs - entry.enqueueNs,
                                  std::memory_order_relaxed);
       mine.tasks.fetch_add(1, std::memory_order_relaxed);
       entry.task();  // packaged_task captures anything the task throws
-      mine.busyNs.fetch_add(obs::steadyNowNs() - startNs,
+      mine.busyNs.fetch_add(steadyNowNs() - startNs,
                             std::memory_order_relaxed);
     } else {
       entry.task();  // packaged_task captures anything the task throws

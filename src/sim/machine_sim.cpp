@@ -256,18 +256,8 @@ perf::RunProfile MachineSim::run(std::span<const trace::RefStreamPtr> streams,
 
   // Hot-path counters: plain locals (not atomics, not clock reads), always
   // accumulated — they are schedule-derived profile data like llcMisses,
-  // deterministic across hosts and pool sizes. Only the *flush* into the
-  // host-time profiler below is an observability feature.
+  // deterministic across hosts and pool sizes.
   perf::HotPathStats hot;
-
-  // Self-profiling: time the whole run under "sim.run" when a profiler is
-  // attached. Compiled out with the rest of the obs layer.
-#if OCCM_OBS_ENABLED
-  std::optional<obs::ScopedPhase> runScope;
-  if (config_.profiler != nullptr) {
-    runScope.emplace(*config_.profiler, config_.profiler->phase("sim.run"));
-  }
-#endif
 
   // MLP divisors are fixed for the whole run (spec-validated >= 1); the
   // per-op and per-miss stall divisions use exact reciprocals instead of
@@ -532,17 +522,6 @@ perf::RunProfile MachineSim::run(std::span<const trace::RefStreamPtr> streams,
   }
   hot.controllerTicks = memory.reservationOps();
   profile.hotPath = hot;
-#if OCCM_OBS_ENABLED
-  if (config_.profiler != nullptr) {
-    obs::Profiler& prof = *config_.profiler;
-    prof.counter("sim.events_popped").add(hot.eventsPopped);
-    prof.counter("sim.events_pushed").add(hot.eventsPushed);
-    prof.counter("sim.advance_turns").add(hot.advanceTurns);
-    prof.counter("sim.issue_turns").add(hot.issueTurns);
-    prof.counter("sim.controller_ticks", "reservations")
-        .add(hot.controllerTicks);
-  }
-#endif
   profile.channelsPerController = spec.channelsPerController;
   if (config_.enableSampler) {
     sampler.finalize(profile.makespan);

@@ -36,7 +36,6 @@
 #include "common/types.hpp"
 #include "fault/fault_plan.hpp"
 #include "mem/memory_system.hpp"
-#include "obs/profiler.hpp"
 #include "obs/run_trace.hpp"
 #include "perf/run_profile.hpp"
 #include "sched/affinity.hpp"
@@ -81,13 +80,6 @@ struct SimConfig {
   /// never fires and costs one predictable branch per event.
   CancellationToken cancel;
   std::uint64_t seed = 7;
-  /// Host-time self-profiler (obs::Profiler): when set, run() times itself
-  /// under the "sim.run" phase and flushes the run's hot-path counters
-  /// ("sim.events_popped", "sim.controller_ticks", ...) into it. Purely
-  /// observational — the simulated result is bit-identical with or without
-  /// it (pinned by Profiler.FingerprintUnchangedByProfiling). Not owned;
-  /// must outlive the run. Ignored when OCCM_OBS_ENABLED=0.
-  obs::Profiler* profiler = nullptr;
 };
 
 class MachineSim {
